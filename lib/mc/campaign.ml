@@ -10,11 +10,20 @@
    count.
 
    The on-disk format is one versioned JSON document written with
-   [Json.write_atomic] (temp file + rename), so the file on disk is a
-   complete, parseable checkpoint at every instant — a kill at an
+   [Json.write_atomic_with] (temp file + rename), so the file on disk is
+   a complete, parseable checkpoint at every instant — a kill at an
    arbitrary point loses at most the chunks recorded since the last
    flush, never the file's integrity.  Serialization sorts jobs and
-   chunks, so equal stores produce byte-identical files. *)
+   chunks, so equal stores produce byte-identical files.
+
+   Flushes are incremental.  Each disk-backed job keeps the rendered
+   text of its chunk entries [0..hi] — the contiguous run from chunk 0
+   — and the indices recorded above [hi] since.  A flush appends the
+   pending indices that extend the run, prints the rest after it, and
+   streams the pieces into the temp file; only a record at or below
+   [hi] (an overwrite) or a load makes the job re-render from its
+   table.  [to_json] is the reference rendering: the file always equals
+   [Json.to_string (to_json t)]. *)
 
 module Json = Obs.Json
 
@@ -28,11 +37,25 @@ type job = {
   chunk : int;
 }
 
+(* One job's chunk ledger.  In a disk-backed store, [text] holds the
+   rendered entries of chunks [0..hi] (all of them recorded), [pending]
+   the indices recorded above [hi] since the last flush (unsorted,
+   possibly repeated), and [stale] says [text] must be rebuilt from
+   [counts].  In-memory stores leave all three untouched. *)
+type ledger = {
+  counts : (int, int) Hashtbl.t;
+  head : string; (* the job's fields, rendered up to its chunk list *)
+  text : Buffer.t;
+  mutable hi : int;
+  mutable pending : int list;
+  mutable stale : bool;
+}
+
 type t = {
   file : string;
   flush_every : int;
   fsync : bool;
-  jobs : (job, (int, int) Hashtbl.t) Hashtbl.t;
+  jobs : (job, ledger) Hashtbl.t;
   mutex : Mutex.t;
   mutable dirty : int; (* records since the last flush *)
   mutable flushes : int; (* completed flushes, for trace span identity *)
@@ -57,26 +80,114 @@ let job_to_json (j, chunks) =
           (List.map (fun (i, c) -> Json.List [ Json.Int i; Json.Int c ]) chunks)
       ) ]
 
+let document jobs =
+  Json.Obj [ ("schema", Json.String schema_version); ("jobs", Json.List jobs) ]
+
 (* Stable rendering: jobs sorted by key, chunks by index.  Call with
    [t.mutex] held. *)
 let to_json_locked t =
   let jobs =
     Hashtbl.fold
-      (fun j tbl acc ->
+      (fun j l acc ->
         let chunks =
-          Hashtbl.fold (fun i c l -> (i, c) :: l) tbl [] |> List.sort compare
+          Hashtbl.fold (fun i c l -> (i, c) :: l) l.counts [] |> List.sort compare
         in
         (j, chunks) :: acc)
       t.jobs []
     |> List.sort compare
   in
-  Json.Obj
-    [ ("schema", Json.String schema_version);
-      ("jobs", Json.List (List.map job_to_json jobs)) ]
+  document (List.map job_to_json jobs)
 
 let to_json t =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) (fun () -> to_json_locked t)
+
+(* ----------------------------------------------- incremental rendering *)
+
+(* The pieces below reproduce [Json.to_string (to_json_locked t)], and
+   [Json] renders every value in them: the document is [doc_head], then
+   the job list, then ["\n}\n"]; a job is its [head], its chunk list,
+   then ["\n    }"]; list items are comma-joined and each starts with
+   its own line break.  Only that list and object framing is spelled
+   out here. *)
+
+(* [open_prefix ~indent v] — [v], an object whose last field is an
+   empty list, rendered at column [indent] and cut just before that
+   list, so the streamed list can follow. *)
+let open_prefix ~indent v =
+  let b = Buffer.create 128 in
+  Json.to_buffer ~indent b v;
+  let close = "[]\n" ^ String.make indent ' ' ^ "}" in
+  Buffer.sub b 0 (Buffer.length b - String.length close)
+
+let doc_head = open_prefix ~indent:0 (document [])
+
+let render_head j = "\n    " ^ open_prefix ~indent:4 (job_to_json (j, []))
+
+let add_entry b i c =
+  Buffer.add_string b "\n        ";
+  Json.to_buffer ~indent:8 b (Json.List [ Json.Int i; Json.Int c ])
+
+(* Every ledger starts stale, so its first flush renders it from its
+   table: a handful of entries for a new job, the whole ledger for a
+   loaded one. *)
+let new_ledger t j counts =
+  { counts;
+    head = (if t.file = "" then "" else render_head j);
+    text = Buffer.create (if t.file = "" then 1 else 1024);
+    hi = -1;
+    pending = [];
+    stale = true }
+
+(* Bring [text] up to date: re-render a stale ledger from its table,
+   then move every pending index that extends the run [hi+1, hi+2, …]
+   into [text].  Indices beyond a gap stay pending, sorted. *)
+let catch_up l =
+  if l.stale then begin
+    Buffer.clear l.text;
+    l.hi <- -1;
+    l.pending <- Hashtbl.fold (fun i _ acc -> i :: acc) l.counts [];
+    l.stale <- false
+  end;
+  let rec extend = function
+    | i :: rest when i = l.hi + 1 ->
+      if i > 0 then Buffer.add_char l.text ',';
+      add_entry l.text i (Hashtbl.find l.counts i);
+      l.hi <- i;
+      extend rest
+    | rest -> rest
+  in
+  l.pending <- extend (List.sort_uniq compare l.pending)
+
+(* Stream the document of caught-up, key-sorted [jobs] into [oc]. *)
+let write_document jobs oc =
+  let tail = Buffer.create 1024 in
+  output_string oc doc_head;
+  (match jobs with
+  | [] -> output_string oc "[]"
+  | _ ->
+    output_char oc '[';
+    List.iteri
+      (fun k (_, l) ->
+        if k > 0 then output_char oc ',';
+        output_string oc l.head;
+        if Hashtbl.length l.counts = 0 then output_string oc "[]"
+        else begin
+          output_char oc '[';
+          Buffer.output_buffer oc l.text;
+          Buffer.clear tail;
+          List.iter
+            (fun i ->
+              if l.hi >= 0 || Buffer.length tail > 0 then Buffer.add_char tail ',';
+              add_entry tail i (Hashtbl.find l.counts i))
+            l.pending;
+          Buffer.output_buffer oc tail;
+          output_string oc "\n      ]"
+        end;
+        output_string oc "\n    }")
+      jobs;
+    output_string oc "\n  ]");
+  output_string oc "\n}\n"
 
 (* Parse + validate one checkpoint document.  Every structural or
    range violation is a hard [Error] with a location: a truncated or
@@ -188,33 +299,39 @@ let flush_locked t =
      span is emitted with an explicit root parent: flushes fire from
      whichever worker crossed the threshold, where no ambient request
      context applies. *)
-  if t.file = "" then t.dirty <- 0
-  else if not (Obs.Trace.enabled ()) then begin
-    Json.write_atomic ~fsync:t.fsync ~file:t.file (to_json_locked t);
-    t.dirty <- 0
-  end
-  else begin
+  if t.file <> "" then begin
+    let traced = Obs.Trace.enabled () in
+    let t0 = if traced then Obs.now () else 0.0 in
+    let jobs =
+      Hashtbl.fold (fun j l acc -> (j, l) :: acc) t.jobs []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    in
+    List.iter (fun (_, l) -> catch_up l) jobs;
+    Json.write_atomic_with ~fsync:t.fsync ~file:t.file (write_document jobs);
     let seq = t.flushes in
-    let t0 = Obs.now () in
-    Json.write_atomic ~fsync:t.fsync ~file:t.file (to_json_locked t);
-    Obs.Trace.emit
-      { Obs.Trace.id = Obs.Trace.span_id [ t.file; "flush"; string_of_int seq ];
-        parent = "";
-        name = Printf.sprintf "checkpoint flush #%d" seq;
-        cat = "campaign";
-        start_s = t0;
-        dur_s = Obs.now () -. t0;
-        args =
-          [ ("file", Json.String t.file);
-            ("seq", Json.Int seq);
-            ("records", Json.Int t.dirty) ] };
-    t.dirty <- 0;
-    t.flushes <- seq + 1
-  end
+    t.flushes <- seq + 1;
+    if traced then
+      Obs.Trace.emit
+        { Obs.Trace.id = Obs.Trace.span_id [ t.file; "flush"; string_of_int seq ];
+          parent = "";
+          name = Printf.sprintf "checkpoint flush #%d" seq;
+          cat = "campaign";
+          start_s = t0;
+          dur_s = Obs.now () -. t0;
+          args =
+            [ ("file", Json.String t.file);
+              ("seq", Json.Int seq);
+              ("records", Json.Int t.dirty) ] }
+  end;
+  t.dirty <- 0
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+let make ~flush_every ~fsync file =
+  { file; flush_every; fsync; jobs = Hashtbl.create 8; mutex = Mutex.create ();
+    dirty = 0; flushes = 0 }
 
 let create ?(flush_every = default_flush_every) ?(fsync = false) file =
   if flush_every < 1 then invalid_arg "Mc.Campaign.create: flush_every must be >= 1";
@@ -225,10 +342,7 @@ let create ?(flush_every = default_flush_every) ?(fsync = false) file =
           to start fresh)"
          file)
   else begin
-    let t =
-      { file; flush_every; fsync; jobs = Hashtbl.create 8;
-        mutex = Mutex.create (); dirty = 0; flushes = 0 }
-    in
+    let t = make ~flush_every ~fsync file in
     (* Write the empty document up front: from the first instant of
        the campaign there is a valid resume token on disk. *)
     match flush_locked t with
@@ -243,15 +357,16 @@ let in_memory () =
      fleet coordinator (per-request re-dispatch ledger) and by workers
      (range-restricted prefill ledger), where durability is owned by
      the coordinator's own store, not this one. *)
-  { file = ""; flush_every = max_int; fsync = false; jobs = Hashtbl.create 8;
-    mutex = Mutex.create (); dirty = 0; flushes = 0 }
+  make ~flush_every:max_int ~fsync:false ""
 
 let load ?(flush_every = default_flush_every) ?(fsync = false) file =
   if flush_every < 1 then invalid_arg "Mc.Campaign.load: flush_every must be >= 1";
   let ( let* ) = Result.bind in
   let* json = Json.read_file file in
   let* jobs = Result.map_error (fun m -> Printf.sprintf "%s: %s" file m) (parse json) in
-  Ok { file; flush_every; fsync; jobs; mutex = Mutex.create (); dirty = 0; flushes = 0 }
+  let t = make ~flush_every ~fsync file in
+  Hashtbl.iter (fun j counts -> Hashtbl.replace t.jobs j (new_ledger t j counts)) jobs;
+  Ok t
 
 let flush t = locked t (fun () -> flush_locked t)
 
@@ -261,19 +376,23 @@ let find t ~job ~chunk =
   locked t (fun () ->
       match Hashtbl.find_opt t.jobs job with
       | None -> None
-      | Some tbl -> Hashtbl.find_opt tbl chunk)
+      | Some l -> Hashtbl.find_opt l.counts chunk)
 
 let record t ~job ~chunk ~failures =
   locked t (fun () ->
-      let tbl =
+      let l =
         match Hashtbl.find_opt t.jobs job with
-        | Some tbl -> tbl
+        | Some l -> l
         | None ->
-          let tbl = Hashtbl.create 64 in
-          Hashtbl.replace t.jobs job tbl;
-          tbl
+          let l = new_ledger t job (Hashtbl.create 64) in
+          Hashtbl.replace t.jobs job l;
+          l
       in
-      Hashtbl.replace tbl chunk failures;
+      Hashtbl.replace l.counts chunk failures;
+      (* in-memory stores never flush, so they track nothing *)
+      if t.file <> "" && not l.stale then begin
+        if chunk <= l.hi then l.stale <- true else l.pending <- chunk :: l.pending
+      end;
       t.dirty <- t.dirty + 1;
       if t.dirty >= t.flush_every then flush_locked t)
 
@@ -281,7 +400,7 @@ let completed t ~job =
   locked t (fun () ->
       match Hashtbl.find_opt t.jobs job with
       | None -> 0
-      | Some tbl -> Hashtbl.length tbl)
+      | Some l -> Hashtbl.length l.counts)
 
 let jobs t =
   locked t (fun () -> Hashtbl.fold (fun j _ acc -> j :: acc) t.jobs [] |> List.sort compare)

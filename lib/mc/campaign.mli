@@ -11,13 +11,22 @@
     domain count.
 
     On disk a store is one [ftqc-checkpoint/1] JSON document, always
-    written via [Obs.Json.write_atomic] (temp file in the same
+    written via [Obs.Json.write_atomic_with] (temp file in the same
     directory + rename): at every instant the file is a complete,
     parseable checkpoint.  A crash loses at most the chunks recorded
     since the last flush (at most [flush_every − 1]); those are simply
     recomputed on resume.  Truncated, corrupted or schema-mismatched
     files are rejected by {!load} with a diagnostic — never repaired
     into a wrong resume.
+
+    Flush cost: each job keeps its chunk entries rendered up to the
+    contiguous run of chunks recorded from index 0, so a flush renders
+    only the chunks recorded since the previous flush (plus any still
+    waiting behind a gap in that run), then streams the kept text into
+    the temp file.  The whole ledger is re-rendered only on a job's
+    first flush after {!load} and after a chunk inside the run is
+    recorded again.  The file's bytes are unchanged by this: every
+    flush writes exactly [Obs.Json.to_string (to_json t)].
 
     Caveat: the job key cannot see the trial function itself.  Resume
     a checkpoint only with the same binary and experiment selection

@@ -80,6 +80,8 @@ let rec emit b ~indent v =
     pad indent;
     Buffer.add_char b '}'
 
+let to_buffer ~indent b v = emit b ~indent v
+
 let to_string v =
   let b = Buffer.create 1024 in
   emit b ~indent:0 v;
@@ -91,15 +93,16 @@ let to_string v =
    optionally fsync, then [Sys.rename] over the target.  A reader —
    or a validator in CI — therefore sees either the old complete
    document or the new complete document, never a truncated prefix. *)
-let write_atomic ?(fsync = false) ~file v =
-  let dir = Filename.dirname file in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename file ^ ".") ".tmp" in
+let write_atomic_with ?(fsync = false) ~file write =
+  let tmp, oc =
+    Filename.open_temp_file ~temp_dir:(Filename.dirname file)
+      (Filename.basename file ^ ".") ".tmp"
+  in
   (try
-     let oc = open_out tmp in
      Fun.protect
        ~finally:(fun () -> close_out oc)
        (fun () ->
-         output_string oc (to_string v);
+         write oc;
          flush oc;
          if fsync then Unix.fsync (Unix.descr_of_out_channel oc))
    with e ->
@@ -109,6 +112,9 @@ let write_atomic ?(fsync = false) ~file v =
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
+
+let write_atomic ?fsync ~file v =
+  write_atomic_with ?fsync ~file (fun oc -> output_string oc (to_string v))
 
 let write ~file v = write_atomic ~file v
 

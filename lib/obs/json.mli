@@ -19,12 +19,24 @@ type t =
     newline at top level. *)
 val to_string : t -> string
 
-(** [write_atomic ?fsync ~file v] — {!to_string} to a temp file in the
-    same directory, then [Sys.rename] over [file].  Readers observe
-    either the previous complete document or the new one, never a
-    truncated prefix; with [~fsync:true] the data is forced to disk
-    before the rename (for checkpoints that must survive power loss,
-    not just process death). *)
+(** [to_buffer ~indent b v] — append [v] to [b] laid out as {!to_string}
+    lays out a value nested at column [indent], without the top-level
+    trailing newline.  For writers that stream a document in pieces and
+    must match {!to_string} byte for byte. *)
+val to_buffer : indent:int -> Buffer.t -> t -> unit
+
+(** [write_atomic_with ?fsync ~file write] — run [write] on a fresh temp
+    file in the same directory as [file], then [Sys.rename] it over
+    [file].  Readers observe either the previous complete file or the
+    new one, never a truncated prefix; with [~fsync:true] the data is
+    forced to disk before the rename (for checkpoints that must survive
+    power loss, not just process death).  If [write] raises, the temp
+    file is removed and [file] is untouched. *)
+val write_atomic_with :
+  ?fsync:bool -> file:string -> (out_channel -> unit) -> unit
+
+(** [write_atomic ?fsync ~file v] — {!write_atomic_with} writing
+    [to_string v]. *)
 val write_atomic : ?fsync:bool -> file:string -> t -> unit
 
 (** [write ~file v] — alias for {!write_atomic} without fsync.  Kept

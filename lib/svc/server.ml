@@ -485,6 +485,11 @@ let claim_socket path =
   end
 
 let run ?(obs = Obs.create ()) cfg =
+  (* a client that hangs up before its reply, or a connection shut
+     down by the drain below, must cost one handler an EPIPE, not the
+     daemon its life (the fleet sets the same for its worker pipes) *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   claim_socket cfg.socket;
   let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   (* fleet first: worker processes must exist before jobs can pop *)

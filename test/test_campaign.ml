@@ -122,6 +122,137 @@ let test_serialization_stable () =
           check "sorted render is order-independent" true
             (a = Obs.Json.to_string (Mc.Campaign.to_json c2))))
 
+(* --- flushed bytes ---------------------------------------------------- *)
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+let reference_bytes c = Obs.Json.to_string (Mc.Campaign.to_json c)
+
+(* Flushes render incrementally; [to_json] renders the whole store.
+   Random record sequences — labels that need JSON escapes, overwrites,
+   out-of-order and gap-filling indices, reloads mid-run — must leave a
+   file equal to the reference rendering after every flush. *)
+let prop_jobs =
+  List.map
+    (fun (label, seed) ->
+      { Mc.Campaign.label; engine = "batch"; seed; trials = 395; chunk = 10 })
+    [ ("plain", 1); ("quote \" back\\slash\ttab\nline\001", 2); ("", 3) ]
+
+type op =
+  | Next of int  (** the job's next chunk in order *)
+  | Skip of int  (** jump one chunk ahead, leaving a gap *)
+  | Any of int * int  (** any chunk: overwrite, fill a gap, or run ahead *)
+  | Flush
+  | Reload  (** reopen the file as a resumed run does and carry on *)
+
+let gen_scenario =
+  QCheck.Gen.(
+    let job = int_range 0 2 in
+    let op =
+      frequency
+        [ (8, map (fun j -> Next j) job);
+          (1, map (fun j -> Skip j) job);
+          (3, map2 (fun j i -> Any (j, i)) job (int_bound 39));
+          (1, return Flush);
+          (1, return Reload) ]
+    in
+    pair (int_range 1 9) (list_size (int_range 1 80) op))
+
+let show_op = function
+  | Next j -> Printf.sprintf "next %d" j
+  | Skip j -> Printf.sprintf "skip %d" j
+  | Any (j, i) -> Printf.sprintf "any %d %d" j i
+  | Flush -> "flush"
+  | Reload -> "reload"
+
+let prop_flush_bytes =
+  QCheck.Test.make ~name:"every flush writes the to_json bytes" ~count:200
+    (QCheck.make gen_scenario
+       ~print:(fun (fe, ops) ->
+         Printf.sprintf "flush_every %d: %s" fe
+           (String.concat "; " (List.map show_op ops))))
+    (fun (flush_every, ops) ->
+      with_fresh_campaign ~flush_every (fun path c ->
+          let c = ref c and dirty = ref 0 and ok = ref true and step = ref 0 in
+          let cursor = Array.make (List.length prop_jobs) 0 in
+          let flushed () = ok := !ok && read_bytes path = reference_bytes !c in
+          let record j i =
+            let job = List.nth prop_jobs j in
+            let i = i mod 40 in
+            let trials_here = min job.chunk (job.trials - (i * job.chunk)) in
+            (* overwrites change the count, so a stale render shows *)
+            Mc.Campaign.record !c ~job ~chunk:i
+              ~failures:(!step mod (trials_here + 1));
+            incr step;
+            incr dirty;
+            if !dirty = flush_every then begin
+              dirty := 0;
+              flushed ()
+            end
+          in
+          List.iter
+            (function
+              | Next j ->
+                record j cursor.(j);
+                cursor.(j) <- cursor.(j) + 1
+              | Skip j ->
+                cursor.(j) <- cursor.(j) + 1;
+                record j cursor.(j);
+                cursor.(j) <- cursor.(j) + 1
+              | Any (j, i) -> record j i
+              | Flush ->
+                Mc.Campaign.flush !c;
+                dirty := 0;
+                flushed ()
+              | Reload ->
+                c := Result.get_ok (Mc.Campaign.load ~flush_every path);
+                dirty := 0;
+                flushed ())
+            ops;
+          Mc.Campaign.flush !c;
+          flushed ();
+          !ok))
+
+(* Golden bytes: the checkpoint of a fixed campaign, as rendered by the
+   whole-document [to_json] writer.  Two jobs (widths 64 and 256, one
+   label needing escapes), replayed at several domain counts and flush
+   cadences, then flushed once more so the last flush holds every
+   chunk.  The file must never change: resumable checkpoints depend on
+   it. *)
+let golden_file = "golden/checkpoint-batch.json"
+
+let golden_campaign ~domains ~flush_every path =
+  let c = Result.get_ok (Mc.Campaign.create ~flush_every path) in
+  List.iter
+    (fun (label, tile_width) ->
+      Mc.Campaign.with_label label (fun () ->
+          ignore
+            (Mc.Runner.failures ~domains ~engine:(Mc.Engine.batch ~tile_width ())
+               ~campaign:c ~trials:batch_trials ~seed batch_model)))
+    [ ("golden", 64); ("golden \"w256\"\t\\", 256) ];
+  Mc.Campaign.flush c
+
+let test_golden_bytes () =
+  let golden = read_bytes golden_file in
+  List.iter
+    (fun (domains, flush_every) ->
+      let path = fresh_path () in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          golden_campaign ~domains ~flush_every path;
+          Alcotest.(check string)
+            (Printf.sprintf "domains %d, flush_every %d" domains flush_every)
+            golden (read_bytes path)))
+    [ (1, 8); (4, 1); (2, 3) ];
+  (* a resumed store re-renders its loaded ledger to the same bytes *)
+  let path = fresh_path () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc golden);
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Mc.Campaign.flush (Result.get_ok (Mc.Campaign.load path));
+      Alcotest.(check string) "load + flush" golden (read_bytes path))
+
 (* --- corrupt / truncated checkpoints rejected ------------------------ *)
 
 let expect_load_error what path =
@@ -476,7 +607,9 @@ let suites =
         Alcotest.test_case "garbage rejected" `Quick test_load_garbage;
         Alcotest.test_case "wrong schema rejected" `Quick
           test_load_wrong_schema;
-        Alcotest.test_case "range validation" `Quick test_validate_ranges ] );
+        Alcotest.test_case "range validation" `Quick test_validate_ranges;
+        Alcotest.test_case "golden checkpoint bytes" `Quick test_golden_bytes;
+        QCheck_alcotest.to_alcotest prop_flush_bytes ] );
     ( "campaign-resume",
       [ Alcotest.test_case "scalar interrupt+resume, domains 1" `Quick
           (interrupt_resume_scalar ~domains:1);

@@ -322,6 +322,16 @@ let test_write_atomic_roundtrip () =
       Obs.Json.write_atomic ~fsync:true ~file (Obs.Json.Int 1);
       check "overwrite read back" true
         (Obs.Json.read_file file = Ok (Obs.Json.Int 1));
+      (* a writer that dies halfway leaves the previous file in place *)
+      (match
+         Obs.Json.write_atomic_with ~file (fun oc ->
+             output_string oc "{\"half\": ";
+             failwith "writer died")
+       with
+      | () -> Alcotest.fail "a raising writer must raise"
+      | exception Failure _ -> ());
+      check "failed write left the old file" true
+        (Obs.Json.read_file file = Ok (Obs.Json.Int 1));
       let dir = Filename.dirname file and base = Filename.basename file in
       let leftovers =
         Sys.readdir dir |> Array.to_list

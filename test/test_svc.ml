@@ -448,56 +448,122 @@ let test_cached_bit_identical () =
       check_str "cached reply is byte-identical to the fresh one"
         fresh.raw_result cached.raw_result)
 
+(* [holding est f] — every runner step of request [est] blocks at the
+   progress watcher until [f]'s release function is called (or [f]
+   returns), so [est]'s job cannot finish early.  Tests then wait for
+   daemon states rather than racing a timer against the job. *)
+let holding est f =
+  let scope = Protocol.hash (Run est) in
+  let gate = Atomic.make false in
+  Obs.Progress.set_watcher
+    (Some
+       (fun (v : Obs.Progress.view) ->
+         if v.v_scope = scope then
+           while not (Atomic.get gate) do
+             Thread.delay 0.001
+           done));
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set gate true;
+      Obs.Progress.set_watcher None)
+    (fun () -> f (fun () -> Atomic.set gate true))
+
+(* [await what cond] — poll [cond] every 10 ms; fail after 30 s. *)
+let await what cond =
+  let rec go n = cond () || (n > 0 && (Thread.delay 0.01; go (n - 1))) in
+  check ("reached " ^ what) true (go 3000)
+
+let status socket =
+  match Svc.Client.with_connection ~socket Svc.Client.status with
+  | Ok (Ok j) -> j
+  | Ok (Error e) -> Alcotest.failf "status failed: %s" e.message
+  | Error msg -> Alcotest.failf "connect failed: %s" msg
+
+(* The states of the in-flight job table, sorted. *)
+let inflight_states socket =
+  match Json.member "jobs" (status socket) with
+  | Some (Json.List jobs) ->
+    List.filter_map
+      (fun job ->
+        match Json.member "state" job with
+        | Some (Json.String s) -> Some s
+        | _ -> None)
+      jobs
+    |> List.sort compare
+  | _ -> []
+
+let coalesced_count socket =
+  match
+    Option.bind (Json.member "metrics" (status socket)) (fun m ->
+        Option.bind (Json.member "counters" m) (Json.member "svc.coalesced"))
+  with
+  | Some (Json.Int n) -> n
+  | _ -> 0
+
+let await_states socket states =
+  await
+    ("jobs [" ^ String.concat "; " states ^ "]")
+    (fun () -> inflight_states socket = states)
+
 (* a second identical request arriving while the first is queued or
    running must share its job (one execution, two byte-identical
    replies) *)
 let test_coalescing () =
   with_server ~workers:1 (fun socket ->
-      (* occupy the single worker so the next request stays visible
-         in the in-flight table long enough to be joined *)
-      let blocker = Thread.create (fun () ->
-          ignore (request_ok socket (toric_est ~l:12 ~p:0.1 ~trials:20000 ()))) ()
-      in
-      Thread.delay 0.2;
-      let est = toric_est ~seed:11 () in
-      let r1 = ref None and r2 = ref None in
-      let t1 = Thread.create (fun () -> r1 := Some (request_ok socket est)) () in
-      Thread.delay 0.1;
-      let t2 = Thread.create (fun () -> r2 := Some (request_ok socket est)) () in
-      Thread.join t1;
-      Thread.join t2;
-      Thread.join blocker;
-      match (!r1, !r2) with
-      | Some a, Some b ->
-        check "second request joined the first job" true b.coalesced;
-        check "coalesced reply is not a cache hit" false b.cached;
-        check_str "coalesced replies are byte-identical" a.raw_result
-          b.raw_result
-      | _ -> Alcotest.fail "coalesced requests did not complete")
+      (* a held blocker occupies the single worker, so the next
+         request stays queued until the second one has joined it *)
+      let blocker_est = toric_est ~l:12 ~p:0.1 ~trials:2000 () in
+      holding blocker_est (fun release ->
+          let blocker =
+            Thread.create (fun () -> ignore (request_ok socket blocker_est)) ()
+          in
+          await_states socket [ "running" ];
+          let est = toric_est ~seed:11 () in
+          let r1 = ref None and r2 = ref None in
+          let t1 = Thread.create (fun () -> r1 := Some (request_ok socket est)) () in
+          await_states socket [ "queued"; "running" ];
+          let t2 = Thread.create (fun () -> r2 := Some (request_ok socket est)) () in
+          await "the join" (fun () -> coalesced_count socket = 1);
+          release ();
+          Thread.join t1;
+          Thread.join t2;
+          Thread.join blocker;
+          match (!r1, !r2) with
+          | Some a, Some b ->
+            check "second request joined the first job" true b.coalesced;
+            check "coalesced reply is not a cache hit" false b.cached;
+            check_str "coalesced replies are byte-identical" a.raw_result
+              b.raw_result
+          | _ -> Alcotest.fail "coalesced requests did not complete"))
 
 (* beyond max_queue the daemon must refuse with a structured error,
    never hang the client *)
 let test_overload () =
   with_server ~workers:1 ~max_queue:1 (fun socket ->
-      let blocker = Thread.create (fun () ->
-          ignore (request_ok socket (toric_est ~l:12 ~p:0.1 ~trials:20000 ()))) ()
-      in
-      Thread.delay 0.2;
-      (* the worker is busy: this one fills the single queue slot *)
-      let filler = Thread.create (fun () ->
-          ignore (request_ok socket (toric_est ~seed:21 ()))) ()
-      in
-      Thread.delay 0.1;
-      let refused =
-        Svc.Client.with_connection ~socket (fun fd ->
-            Svc.Client.request fd (toric_est ~seed:22 ()))
-      in
-      (match refused with
-      | Ok (Error e) -> check_str "structured overload error" "overloaded" e.code
-      | Ok (Ok _) -> Alcotest.fail "request beyond max_queue was accepted"
-      | Error msg -> Alcotest.failf "connect failed: %s" msg);
-      Thread.join filler;
-      Thread.join blocker)
+      let blocker_est = toric_est ~l:12 ~p:0.1 ~trials:2000 () in
+      holding blocker_est (fun release ->
+          let blocker =
+            Thread.create (fun () -> ignore (request_ok socket blocker_est)) ()
+          in
+          await_states socket [ "running" ];
+          (* the worker is busy: this one fills the single queue slot *)
+          let filler =
+            Thread.create
+              (fun () -> ignore (request_ok socket (toric_est ~seed:21 ())))
+              ()
+          in
+          await_states socket [ "queued"; "running" ];
+          let refused =
+            Svc.Client.with_connection ~socket (fun fd ->
+                Svc.Client.request fd (toric_est ~seed:22 ()))
+          in
+          release ();
+          Thread.join filler;
+          Thread.join blocker;
+          match refused with
+          | Ok (Error e) -> check_str "structured overload error" "overloaded" e.code
+          | Ok (Ok _) -> Alcotest.fail "request beyond max_queue was accepted"
+          | Error msg -> Alcotest.failf "connect failed: %s" msg))
 
 let test_scan_matches_driver_derivation () =
   with_server (fun socket ->
@@ -572,87 +638,76 @@ let test_status_and_metrics () =
    client and to a coalesced joiner alike *)
 let test_progress_completion_streams () =
   with_server ~workers:1 (fun socket ->
-      let est = toric_est ~l:12 ~p:0.1 ~trials:40000 ~seed:33 () in
+      let est = toric_est ~l:12 ~p:0.1 ~trials:2000 ~seed:33 () in
       let saw cell (p : Svc.Client.progress) =
         match (p.p_completed, p.p_total, p.p_phase) with
-        | Some d, Some t, Some _ when d >= 0 && t > 0 && d <= t -> cell := true
+        | Some d, Some t, Some _ when d >= 0 && t > 0 && d <= t ->
+          Atomic.set cell true
         | _ -> ()
       in
-      let primary_saw = ref false and joiner_saw = ref false in
+      let primary_saw = Atomic.make false and joiner_saw = Atomic.make false in
       let r1 = ref None and r2 = ref None in
-      let t1 =
-        Thread.create
-          (fun () ->
-            r1 := Some (request_ok ~on_progress:(saw primary_saw) socket est))
-          ()
-      in
-      Thread.delay 0.15;
-      let t2 =
-        Thread.create
-          (fun () ->
-            r2 := Some (request_ok ~on_progress:(saw joiner_saw) socket est))
-          ()
-      in
-      Thread.join t1;
-      Thread.join t2;
+      (* the held job keeps streaming progress until both waiters saw
+         a completion frame *)
+      holding est (fun release ->
+          let t1 =
+            Thread.create
+              (fun () ->
+                r1 := Some (request_ok ~on_progress:(saw primary_saw) socket est))
+              ()
+          in
+          await_states socket [ "running" ];
+          let t2 =
+            Thread.create
+              (fun () ->
+                r2 := Some (request_ok ~on_progress:(saw joiner_saw) socket est))
+              ()
+          in
+          await "completion frames to both waiters" (fun () ->
+              Atomic.get primary_saw && Atomic.get joiner_saw);
+          release ();
+          Thread.join t1;
+          Thread.join t2);
       match (!r1, !r2) with
       | Some a, Some b ->
         check "second request joined the first job" true b.coalesced;
         check_str "coalesced replies are byte-identical" a.raw_result
-          b.raw_result;
-        check "primary saw completed/total/phase" true !primary_saw;
-        check "coalesced joiner saw completed/total/phase" true !joiner_saw
+          b.raw_result
       | _ -> Alcotest.fail "requests did not complete")
 
 (* the extended status frame: worker utilization and the in-flight job
    table, live while a request runs *)
 let test_status_inflight_jobs () =
   with_server ~workers:1 (fun socket ->
-      let blocker =
-        Thread.create
-          (fun () ->
-            ignore (request_ok socket (toric_est ~l:12 ~p:0.1 ~trials:40000 ())))
-          ()
-      in
-      Thread.delay 0.25;
-      (match Svc.Client.with_connection ~socket Svc.Client.status with
-      | Ok (Ok j) ->
-        let workers k =
-          match Option.bind (Json.member "workers" j) (Json.member k) with
-          | Some (Json.Int n) -> n
-          | _ -> -1
-        in
-        check_int "worker count reported" 1 (workers "count");
-        check_int "busy workers reported" 1 (workers "busy");
-        (match Json.member "jobs" j with
-        | Some (Json.List (job :: _)) ->
-          check "job row names its estimator" true
-            (Json.member "estimator" job
-            = Some (Json.String "toric_memory"));
-          check "job row carries a state" true
-            (match Json.member "state" job with
-            | Some (Json.String ("running" | "queued" | "finishing")) -> true
-            | _ -> false);
-          check "job row carries elapsed_s" true
-            (match Json.member "elapsed_s" job with
-            | Some (Json.Float e) -> e >= 0.0
-            | _ -> false)
-        | _ -> Alcotest.fail "no in-flight jobs listed");
-        check "per-estimator latency histogram appears after completion" true
-          true
-      | Ok (Error e) -> Alcotest.failf "status failed: %s" e.message
-      | Error msg -> Alcotest.failf "connect failed: %s" msg);
-      Thread.join blocker;
+      let est = toric_est ~l:12 ~p:0.1 ~trials:2000 () in
+      holding est (fun release ->
+          let blocker = Thread.create (fun () -> ignore (request_ok socket est)) () in
+          await_states socket [ "running" ];
+          let j = status socket in
+          let workers k =
+            match Option.bind (Json.member "workers" j) (Json.member k) with
+            | Some (Json.Int n) -> n
+            | _ -> -1
+          in
+          check_int "worker count reported" 1 (workers "count");
+          check_int "busy workers reported" 1 (workers "busy");
+          (match Json.member "jobs" j with
+          | Some (Json.List [ job ]) ->
+            check "job row names its estimator" true
+              (Json.member "estimator" job = Some (Json.String "toric_memory"));
+            check "job row carries elapsed_s" true
+              (match Json.member "elapsed_s" job with
+              | Some (Json.Float e) -> e >= 0.0
+              | _ -> false)
+          | _ -> Alcotest.fail "expected one in-flight job");
+          release ();
+          Thread.join blocker);
       (* after the job drains: per-estimator latency histogram recorded *)
-      match Svc.Client.with_connection ~socket Svc.Client.status with
-      | Ok (Ok j) ->
-        check "per-estimator latency histogram present" true
-          (Option.is_some
-             (Option.bind (Json.member "metrics" j) (fun m ->
-                  Option.bind (Json.member "histograms" m)
-                    (Json.member "svc.request_latency_s.toric_memory"))))
-      | Ok (Error e) -> Alcotest.failf "status failed: %s" e.message
-      | Error msg -> Alcotest.failf "connect failed: %s" msg)
+      check "per-estimator latency histogram present" true
+        (Option.is_some
+           (Option.bind (Json.member "metrics" (status socket)) (fun m ->
+                Option.bind (Json.member "histograms" m)
+                  (Json.member "svc.request_latency_s.toric_memory")))))
 
 (* tracing the whole daemon must not move a single result byte *)
 let test_tracing_neutral_byte_identity () =
