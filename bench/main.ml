@@ -378,16 +378,16 @@ let smoke_run (name, f) =
   f ();
   (* warmup *)
   let budget = 0.25 and max_runs = 8 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   let runs = ref 0 in
   while
     !runs = 0
-    || (!runs < max_runs && Unix.gettimeofday () -. t0 < budget)
+    || (!runs < max_runs && Obs.now () -. t0 < budget)
   do
     f ();
     incr runs
   done;
-  let mean_ms = (Unix.gettimeofday () -. t0) /. float_of_int !runs *. 1e3 in
+  let mean_ms = (Obs.now () -. t0) /. float_of_int !runs *. 1e3 in
   Printf.printf "%-36s %10.3f ms  (%d runs)\n%!" name mean_ms !runs;
   (name, mean_ms, !runs)
 
@@ -399,13 +399,13 @@ let parallel_probe () =
   let trials = 600 in
   let pnoise = Ft.Noise.gates_only 8e-3 in
   let run d =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now () in
     let e =
       Ft.Memory.steane_ec_failure_mc ~domains:d ~noise:pnoise
         ~policy:Ft.Steane_ec.Repeat_if_nontrivial ~verify:Ft.Steane_ec.Reject
         ~trials ~seed:2026 ()
     in
-    (e.Mc.Stats.failures, Unix.gettimeofday () -. t0)
+    (e.Mc.Stats.failures, Obs.now () -. t0)
   in
   ignore (run domains);
   (* warm both code paths *)
@@ -452,15 +452,17 @@ type width_probe_entry = {
   wp_cross_fail : int;
   wp_widths : (int * float * int) list; (* width, shots/s, failures *)
   wp_identical : bool;
+  wp_wall_s : float;  (* the whole probe, warm-ups included *)
 }
 
 let batch_probe () =
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now () in
     let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+    (r, Obs.now () -. t0)
   in
   let probe name ~trials ~mc ~batch ~crosscheck =
+    let start = Obs.now () in
     ignore (mc ());
     ignore (batch 64 ());
     (* warm both paths *)
@@ -507,6 +509,7 @@ let batch_probe () =
       wp_cross_fail = c_fail;
       wp_widths = widths;
       wp_identical = identical;
+      wp_wall_s = Obs.now () -. start;
     }
   in
   let steane_trials = 20000 in
@@ -583,8 +586,8 @@ let batch_probe () =
       .Toric.Memory.failures
   in
   (* the generic CSS pipeline's heaviest zoo member: [[23,1,7]] Golay
-     at one memory round, batch-classified through the per-shot memo
-     path (22 checks is far beyond the OR-mux cutoff) *)
+     at one memory round, batch-classified by two per-side flip-table
+     lookups per shot (11 checks a side) *)
   let css_trials = 20000 in
   let golay = Csskit.Zoo.get "golay23" in
   let css engine () =
@@ -600,21 +603,30 @@ let batch_probe () =
         ~eps:0.08 ~rounds:1 ~trials:css_trials ~seed:913 ())
       .Mc.Stats.failures
   in
-  [ probe "steane-level2" ~trials:steane_trials ~mc:(steane `Mc)
-      ~batch:(fun w -> steane (`Batch w))
-      ~crosscheck:(steane `Cross);
-    probe "css-golay-L1" ~trials:css_trials ~mc:(css `Mc)
-      ~batch:(fun w -> css (`Batch w))
-      ~crosscheck:(css `Cross);
-    probe "toric-L5" ~trials:toric_trials ~mc:(toric `Mc)
-      ~batch:(fun w -> toric (`Batch w))
-      ~crosscheck:(toric `Cross);
-    probe "toric-L3-deep" ~trials:deep_trials ~mc:(deep `Mc)
-      ~batch:(fun w -> deep (`Batch w))
-      ~crosscheck:(deep `Cross);
-    probe "toric-L3-deep-ckpt" ~trials:ckpt_trials ~mc:(deep_ckpt `Mc)
-      ~batch:(fun w -> deep_ckpt (`Batch w))
-      ~crosscheck:(deep_ckpt `Cross) ]
+  (* thunks run by List.map, so kernels run in the order listed (a
+     list literal evaluates its elements right to left) *)
+  List.map
+    (fun run -> run ())
+    [ (fun () ->
+        probe "steane-level2" ~trials:steane_trials ~mc:(steane `Mc)
+          ~batch:(fun w -> steane (`Batch w))
+          ~crosscheck:(steane `Cross));
+      (fun () ->
+        probe "css-golay-L1" ~trials:css_trials ~mc:(css `Mc)
+          ~batch:(fun w -> css (`Batch w))
+          ~crosscheck:(css `Cross));
+      (fun () ->
+        probe "toric-L5" ~trials:toric_trials ~mc:(toric `Mc)
+          ~batch:(fun w -> toric (`Batch w))
+          ~crosscheck:(toric `Cross));
+      (fun () ->
+        probe "toric-L3-deep" ~trials:deep_trials ~mc:(deep `Mc)
+          ~batch:(fun w -> deep (`Batch w))
+          ~crosscheck:(deep `Cross));
+      (fun () ->
+        probe "toric-L3-deep-ckpt" ~trials:ckpt_trials ~mc:(deep_ckpt `Mc)
+          ~batch:(fun w -> deep_ckpt (`Batch w))
+          ~crosscheck:(deep_ckpt `Cross)) ]
 
 (* Rare-engine probe: evaluations/sec of the weight-class subset
    sampler on the two deep-subthreshold kernels the engine exists
@@ -636,15 +648,17 @@ type rare_probe_entry = {
   rp_ci_low : float;
   rp_ci_high : float;
   rp_sane : bool;
+  rp_wall_s : float;  (* the whole probe, warm-up included *)
 }
 
 let rare_probe () =
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now () in
     let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+    (r, Obs.now () -. t0)
   in
   let probe name ~max_weight run =
+    let start = Obs.now () in
     ignore (run ());
     (* warm *)
     let (w : Mc.Stats.weighted), t = time run in
@@ -667,17 +681,22 @@ let rare_probe () =
       rp_ci_low = w.ci_low;
       rp_ci_high = w.ci_high;
       rp_sane = sane;
+      rp_wall_s = Obs.now () -. start;
     }
   in
   let deep_p = 0.000244140625 in
   let steane_cfg = { Mc.Engine.default_rare with max_weight = 3 } in
   let toric_cfg = { Mc.Engine.default_rare with max_weight = 4 } in
-  [ probe "steane-L2-rare" ~max_weight:steane_cfg.max_weight (fun () ->
-        Codes.Pauli_frame.memory_failure_rare ~domains:1 ~config:steane_cfg
-          ~level:2 ~eps:1e-3 ~rounds:1 ~seed:913 ());
-    probe "toric-L3-deep-rare" ~max_weight:toric_cfg.max_weight (fun () ->
-        Toric.Memory.run_rare ~domains:1 ~config:toric_cfg ~l:3 ~p:deep_p
-          ~seed:914 ()) ]
+  List.map
+    (fun run -> run ())
+    [ (fun () ->
+        probe "steane-L2-rare" ~max_weight:steane_cfg.max_weight (fun () ->
+            Codes.Pauli_frame.memory_failure_rare ~domains:1 ~config:steane_cfg
+              ~level:2 ~eps:1e-3 ~rounds:1 ~seed:913 ()));
+      (fun () ->
+        probe "toric-L3-deep-rare" ~max_weight:toric_cfg.max_weight (fun () ->
+            Toric.Memory.run_rare ~domains:1 ~config:toric_cfg ~l:3 ~p:deep_p
+              ~seed:914 ())) ]
 
 (* Crash-recovery probe: run a checkpointed campaign, interrupt it at
    a deterministic chunk (a chaos hook raising the same stop flag a
@@ -696,7 +715,7 @@ let resume_probe () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now () in
       Mc.Campaign.reset_stop ();
       let c =
         match Mc.Campaign.create ~flush_every:1 file with
@@ -720,7 +739,7 @@ let resume_probe () =
         Mc.Runner.failures ~domains:2 ~chunk ~campaign:c' ~trials ~seed
           (Mc.Runner.scalar trial)
       in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Obs.now () -. t0 in
       Printf.printf
         "resume probe: %d trials interrupted+resumed in %.3f s, counts %d/%d \
          %s\n%!"
@@ -773,9 +792,9 @@ let service_probe () =
         | Error msg -> failwith ("service probe: " ^ msg)
       in
       let timed f =
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now () in
         let v = f () in
-        (v, Unix.gettimeofday () -. t0)
+        (v, Obs.now () -. t0)
       in
       (* each latency is the best of three — a single ~30 ms sample
          carries enough scheduler jitter to trip the trajectory
@@ -895,7 +914,7 @@ let run_smoke ~out ~record ~trajectory ~label =
               count "crosscheck" ~failures:wp.wp_cross_fail
                 ~trials:wp.wp_trials ];
           telemetry =
-            [ ("wall_s", Obs.Json.Float 0.0);
+            [ ("wall_s", Obs.Json.Float wp.wp_wall_s);
               ("mc_shots_per_s", Obs.Json.Float wp.wp_mc_sps);
               ("batch_shots_per_s", Obs.Json.Float b_sps);
               ("speedup", Obs.Json.Float (b_sps /. wp.wp_mc_sps));
@@ -918,7 +937,7 @@ let run_smoke ~out ~record ~trajectory ~label =
           params = [ ("max_weight", Obs.Json.Int rp.rp_max_weight) ];
           results = [];
           telemetry =
-            [ ("wall_s", Obs.Json.Float 0.0);
+            [ ("wall_s", Obs.Json.Float rp.rp_wall_s);
               ("evals", Obs.Json.Int rp.rp_evals);
               ("evals_per_s", Obs.Json.Float rp.rp_evals_per_s);
               ("rate", Obs.Json.Float rp.rp_rate);

@@ -1,3 +1,4 @@
 include Kit
+module Once = Once
 module Zoo = Zoo
 module Memory = Memory

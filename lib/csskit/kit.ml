@@ -11,9 +11,13 @@ type t = {
   k : int;
   distance : int;
   correctable : int;
-  decoder : Code.decoder Lazy.t;
   exact : bool;
+  sides : (side_decoder * side_decoder) Once.t;
+  flips : flip_tables option Once.t;
 }
+
+and side_decoder = Bitvec.t -> Bitvec.t option
+and flip_tables = { x_flips : int array; z_flips : int array }
 
 type error = Css of Codes.Css.error | Distance_not_found of { cap : int }
 
@@ -114,24 +118,37 @@ let greedy_decode_side ~checks ~n syndrome =
   done;
   if Bitvec.is_zero residual then Some support else None
 
-(* Greedy analogue of Codes.Css.css_decoder: bit- and phase-flip
-   syndromes decoded independently, Z-generator bits first. *)
-let greedy_decoder ~hx ~hz ~n =
-  let nz = Mat.rows hz and nx = Mat.rows hx in
+(* The CSS product decoder: the X part of the correction decodes the
+   H_Z syndrome (Z-generator bits, first), the Z part the H_X
+   syndrome; undecodable if either side is. *)
+let compose ~n ~nz ~nx (x_side, z_side) =
   Code.decoder_of_fn ~n (fun s ->
       if Bitvec.length s <> nz + nx then None
-      else begin
-        let s_bit = Bitvec.sub s ~pos:0 ~len:nz in
-        let s_phase = Bitvec.sub s ~pos:nz ~len:nx in
+      else
         match
-          ( greedy_decode_side ~checks:hz ~n s_bit,
-            greedy_decode_side ~checks:hx ~n s_phase )
+          ( x_side (Bitvec.sub s ~pos:0 ~len:nz),
+            z_side (Bitvec.sub s ~pos:nz ~len:nx) )
         with
-        | Some e_bit, Some e_phase ->
-          Some
-            (Pauli.mul (Codes.Css.x_string e_bit) (Codes.Css.z_string e_phase))
-        | _ -> None
-      end)
+        | Some e_x, Some e_z ->
+          Some (Pauli.mul (Codes.Css.x_string e_x) (Codes.Css.z_string e_z))
+        | _ -> None)
+
+let undecodable = -1
+let max_table_checks = 16
+
+(* Entry s: bit j set iff side correction [side s] overlaps [logicals.(j)]
+   an odd number of times. *)
+let flip_table side ~checks ~logicals =
+  let m = Mat.rows checks in
+  Array.init (1 lsl m) (fun s ->
+      match side (Bitvec.of_int ~width:m s) with
+      | None -> undecodable
+      | Some support ->
+        let mask = ref 0 in
+        Array.iteri
+          (fun j l -> if Bitvec.dot support l then mask := !mask lor (1 lsl j))
+          logicals;
+        !mask)
 
 let default_table_budget = 1 lsl 17
 
@@ -154,21 +171,49 @@ let build ?distance ?(distance_cap = 7) ?(table_budget = default_table_budget)
     | Ok distance ->
       let correctable = (distance - 1) / 2 in
       let exact = table_entries n correctable <= table_budget in
-      let decoder =
-        lazy
-          (if exact then
-             Codes.Css.css_decoder ~max_weight_per_side:correctable ~hx ~hz ~n
-               ()
-           else greedy_decoder ~hx ~hz ~n)
+      let side checks =
+        if exact then
+          Codes.Css.classical_decoder ~checks ~n ~max_weight:correctable
+        else greedy_decode_side ~checks ~n
       in
-      Ok { name; code; hx; hz; n; k; distance; correctable; decoder; exact })
+      let sides = Once.make (fun () -> (side hz, side hx)) in
+      let flips =
+        Once.make (fun () ->
+            if
+              k > 62
+              || Mat.rows hz > max_table_checks
+              || Mat.rows hx > max_table_checks
+            then None
+            else begin
+              let x_side, z_side = Once.force sides in
+              (* CSS logicals are pure: an X correction can only
+                 anticommute with Z̄ⱼ through its Z support, and a Z
+                 correction with X̄ⱼ through its X support *)
+              Some
+                {
+                  x_flips =
+                    flip_table x_side ~checks:hz
+                      ~logicals:(Array.map Pauli.z_bits code.Code.logical_z);
+                  z_flips =
+                    flip_table z_side ~checks:hx
+                      ~logicals:(Array.map Pauli.x_bits code.Code.logical_x);
+                }
+            end)
+      in
+      Ok
+        { name; code; hx; hz; n; k; distance; correctable; exact; sides; flips })
 
 let build_exn ?distance ?distance_cap ?table_budget ~name ~hx ~hz () =
   match build ?distance ?distance_cap ?table_budget ~name ~hx ~hz () with
   | Ok t -> t
   | Error error -> raise (Invalid { name; error })
 
-let decoder t = Lazy.force t.decoder
+let sides t = Once.force t.sides
+let flip_tables t = Once.force t.flips
+
+let decoder t =
+  compose ~n:t.n ~nz:(Mat.rows t.hz) ~nx:(Mat.rows t.hx) (sides t)
+
 let decode t s = Code.decode (decoder t) s
 let syndrome t e = Code.syndrome t.code e
 

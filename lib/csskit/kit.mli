@@ -5,11 +5,31 @@
     {!build} runs the whole pipeline: CSS construction via
     {!Codes.Css.build} (commutation check, k = n − rank H_X − rank
     H_Z, logical extraction), a minimum-weight logical probe when no
-    distance is declared, and decoder selection — the exact
-    syndrome→correction lookup of {!Codes.Css.css_decoder} while the
-    table fits the budget, a greedy syndrome-weight-descent fallback
-    above it.  The resulting {!t} is what the batch classifier
-    ({!Memory}) and the [css-memory] estimator consume. *)
+    distance is declared, and decoder selection.  The decoder is the
+    CSS product of two classical side decoders — the X part of the
+    correction from the H_Z syndrome, the Z part from the H_X
+    syndrome — each the exact minimum-weight lookup of
+    {!Codes.Css.classical_decoder} while the table fits the budget, a
+    greedy syndrome-weight-descent fallback above it.  The resulting
+    {!t} is what the batch classifier ({!Memory}) and the [css-memory]
+    estimator consume.
+
+    Everything built on first use (side decoders, flip tables; the
+    {!Zoo} registry's codes) lives in {!Once} cells, so any number of
+    threads or domains may force them concurrently. *)
+
+(** A classical decoder for one CSS side: the side's syndrome (bit i =
+    the side's check i, in generator order) to a correction support
+    over the n qubits, or [None] when the syndrome is undecodable. *)
+type side_decoder = Gf2.Bitvec.t -> Gf2.Bitvec.t option
+
+(** Per-side logical-flip tables, indexed by a side syndrome as an int
+    (bit i = the side's check i).  Entry [s] of [x_flips] has bit j
+    set iff the X side's correction for [s] anticommutes with
+    logical_z.(j); entry [s] of [z_flips] likewise for the Z side's
+    correction against logical_x.(j).  {!undecodable} marks a
+    syndrome the side decoder rejects. *)
+type flip_tables = { x_flips : int array; z_flips : int array }
 
 type t = {
   name : string;
@@ -20,10 +40,12 @@ type t = {
   k : int;
   distance : int;  (** declared or probed CSS distance *)
   correctable : int;  (** ⌊(distance − 1) / 2⌋, per side *)
-  decoder : Codes.Stabilizer_code.decoder Lazy.t;
   exact : bool;
       (** [true]: exact minimum-weight lookup; [false]: greedy
           fallback (table would exceed the budget) *)
+  sides : (side_decoder * side_decoder) Once.t;
+      (** (X side from the H_Z syndrome, Z side from the H_X one) *)
+  flips : flip_tables option Once.t;
 }
 
 type error =
@@ -70,8 +92,25 @@ val build_exn :
   unit ->
   t
 
-(** [decoder t] forces and returns the compiled decoder. *)
+(** [sides t] — the two side decoders, built on first use: (X side,
+    decoding the H_Z syndrome; Z side, decoding the H_X syndrome). *)
+val sides : t -> side_decoder * side_decoder
+
+(** [decoder t] — the CSS decoder composed from {!sides}: X part from
+    the Z-generator syndrome bits, Z part from the X-generator bits,
+    undecodable when either side is. *)
 val decoder : t -> Codes.Stabilizer_code.decoder
+
+(** The flip-table entry of a syndrome the side decoder rejects. *)
+val undecodable : int
+
+(** Widest side {!flip_tables} tabulates (2¹⁶ entries). *)
+val max_table_checks : int
+
+(** [flip_tables t] — both sides' flip tables, tabulated once from
+    {!sides}; [None] when a side has more than {!max_table_checks}
+    checks or k > 62. *)
+val flip_tables : t -> flip_tables option
 
 (** [decode t s] — correction for syndrome [s] (layout: Z-generator
     bits first, then X — the {!Codes.Css.make} convention). *)

@@ -54,13 +54,16 @@ let memory_failure_mc ?domains ?obs (t : Kit.t) ~eps ~rounds ~trials ~seed () =
      ⟨c_s·e, Lz_j⟩ = ⟨c_s, Lz_j⟩ ⊕ ⟨e, Lz_j⟩
    by bilinearity of the symplectic product (likewise has_z against
    Lx_j) — an error parity word XOR a pure function of the syndrome
-   bits.  Small codes tabulate that function over all 2^m syndromes
-   and evaluate it as a word-wise disjoint-minterm OR-mux; large
-   codes evaluate it per shot through a memo keyed by the syndrome
-   bitstring. *)
-type mode =
-  | Mux of { active : bool array; ax : bool array array; az : bool array array }
-  | Shot
+   bits.  An undecodable syndrome instead toggles every logical
+   whatever the error ([residual_into]'s convention), so each
+   classifier also yields the word of undecodable shots, which
+   overrides the parity.  Two ways to evaluate the classification:
+   - Sides: the function is the CSS product of one function per side
+     ({!Kit.flip_tables}), so block-transpose the lane's syndrome
+     words and look both sides up per shot;
+   - Memo: sides wider than {!Kit.max_table_checks} or k > 62 decode
+     per shot through a memo keyed by the syndrome bitstring. *)
+type mode = Sides of { nz : int; nx : int; tables : Kit.flip_tables } | Memo
 
 type compiled = {
   k : int;
@@ -68,49 +71,28 @@ type compiled = {
   checks : Program.check array;  (* code.generators order: Z rows, X rows *)
   lzs : Program.check array;
   lxs : Program.check array;
-  classify_syndrome : Bitvec.t -> bool array * bool array;
+  classify_syndrome : Bitvec.t -> (bool array * bool array) option;
+      (* None: undecodable *)
   mode : mode;
 }
 
-let compile ?(mux_max_checks = 8) (t : Kit.t) =
+let compile (t : Kit.t) =
   let code = t.code in
-  let dec = Kit.decoder t in
   let k = t.k in
   let m = Array.length code.Code.generators in
+  let dec = Kit.decoder t in
   let classify_syndrome sv =
-    let jx = Array.make k false and jz = Array.make k false in
-    (match Code.decode dec sv with
-    | None ->
-      Array.fill jx 0 k true;
-      Array.fill jz 0 k true
-    | Some c ->
-      for j = 0 to k - 1 do
-        jx.(j) <- not (Pauli.commutes c code.Code.logical_z.(j));
-        jz.(j) <- not (Pauli.commutes c code.Code.logical_x.(j))
-      done);
-    (jx, jz)
+    Code.decode dec sv
+    |> Option.map (fun c ->
+           ( Array.init k (fun j -> not (Pauli.commutes c code.Code.logical_z.(j))),
+             Array.init k (fun j -> not (Pauli.commutes c code.Code.logical_x.(j)))
+           ))
   in
   let mode =
-    if m > mux_max_checks then Shot
-    else begin
-      let size = 1 lsl m in
-      let ax = Array.init k (fun _ -> Array.make size false) in
-      let az = Array.init k (fun _ -> Array.make size false) in
-      let active = Array.make size false in
-      for s = 0 to size - 1 do
-        let sv = Bitvec.create m in
-        for i = 0 to m - 1 do
-          if (s lsr i) land 1 = 1 then Bitvec.set sv i true
-        done;
-        let jx, jz = classify_syndrome sv in
-        for j = 0 to k - 1 do
-          ax.(j).(s) <- jx.(j);
-          az.(j).(s) <- jz.(j);
-          if jx.(j) || jz.(j) then active.(s) <- true
-        done
-      done;
-      Mux { active; ax; az }
-    end
+    match Kit.flip_tables t with
+    | Some tables ->
+      Sides { nz = Gf2.Mat.rows t.hz; nx = Gf2.Mat.rows t.hx; tables }
+    | None -> Memo
   in
   {
     k;
@@ -133,24 +115,26 @@ type worker = {
   xs : int64 array;  (* one lane's X plane, word per qubit *)
   zs : int64 array;
   synd : int64 array;  (* m syndrome words for the current lane *)
-  muxx : int64 array;  (* per-logical decoder-contribution words *)
-  muxz : int64 array;
+  shots : int64 array;  (* Sides: the lane's syndromes, one word per shot *)
+  flips : int array;  (* Sides: 2(2k + 1) half-lane words *)
+  decx : int64 array;  (* per-logical decoder-contribution words *)
+  decz : int64 array;
   accx : int64 array;  (* k * lanes accumulated has_x words *)
   accz : int64 array;
-  memo : (string, bool array * bool array) Hashtbl.t;  (* per worker *)
+  memo : (string, (bool array * bool array) option) Hashtbl.t;  (* per worker *)
   sbx : bool array;  (* scalar cross-check: tile_width * k residual bits *)
   sbz : bool array;
 }
 
 let memory_failure_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
-    ?mux_max_checks (t : Kit.t) ~eps ~rounds ~trials ~seed () =
+    (t : Kit.t) ~eps ~rounds ~trials ~seed () =
   if t.k < 1 then invalid_arg "Csskit.Memory: k >= 1 codes only";
   if rounds < 1 then invalid_arg "Csskit.Memory: rounds >= 1";
   if tile_width < 64 || tile_width mod 64 <> 0 then
     invalid_arg "Csskit.Memory: tile_width must be a positive multiple of 64";
   let lanes = tile_width / 64 in
   let n = t.n and k = t.k in
-  let cmp = compile ?mux_max_checks t in
+  let cmp = compile t in
   let dec = Kit.decoder t in
   let p = eps /. 3.0 in
   let prog =
@@ -166,49 +150,77 @@ let memory_failure_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
     for i = 0 to cmp.m - 1 do
       w.synd.(i) <- parity_sel w.xs w.zs cmp.checks.(i)
     done;
-    Array.fill w.muxx 0 k 0L;
-    Array.fill w.muxz 0 k 0L;
-    (match cmp.mode with
-    | Mux { active; ax; az } ->
-      for s = 0 to (1 lsl cmp.m) - 1 do
-        if active.(s) then begin
-          let minterm = ref (-1L) in
-          for i = 0 to cmp.m - 1 do
-            minterm :=
-              Int64.logand !minterm
-                (if (s lsr i) land 1 = 1 then w.synd.(i)
-                 else Int64.lognot w.synd.(i))
-          done;
-          for j = 0 to k - 1 do
-            if ax.(j).(s) then w.muxx.(j) <- Int64.logor w.muxx.(j) !minterm;
-            if az.(j).(s) then w.muxz.(j) <- Int64.logor w.muxz.(j) !minterm
-          done
-        end
-      done
-    | Shot ->
-      for b = 0 to 63 do
-        let sv = Plane.shot_vec w.synd b in
-        let key = Bitvec.to_string sv in
-        let jx, jz =
-          match Hashtbl.find_opt w.memo key with
-          | Some hit -> hit
-          | None ->
-            let fresh = cmp.classify_syndrome sv in
-            Hashtbl.add w.memo key fresh;
-            fresh
+    let undecodable =
+      match cmp.mode with
+      | Sides { nz; nx; tables = { x_flips; z_flips } } ->
+        (* shots.(b) = shot b's syndrome word, Z-generator bits low; the
+           flips are gathered as 32-shot halves in native ints (slot j:
+           X side vs logical j, slot k + j: Z side, slot 2k: undecodable) *)
+        Plane.transpose_rows ~src:w.synd ~lanes:1 ~lane:0 ~pos:0 ~nrows:cmp.m
+          w.shots;
+        let zmask = (1 lsl nz) - 1 and xmask = (1 lsl nx) - 1 in
+        let slots = (2 * k) + 1 in
+        Array.fill w.flips 0 (2 * slots) 0;
+        for b = 0 to 63 do
+          let s = Int64.to_int w.shots.(b) in
+          let fx = x_flips.(s land zmask) and fz = z_flips.((s lsr nz) land xmask) in
+          let half = if b < 32 then 0 else slots and bit = 1 lsl (b land 31) in
+          if fx = Kit.undecodable || fz = Kit.undecodable then
+            w.flips.(half + (2 * k)) <- w.flips.(half + (2 * k)) lor bit
+          else if fx lor fz <> 0 then
+            for j = 0 to k - 1 do
+              if (fx lsr j) land 1 = 1 then
+                w.flips.(half + j) <- w.flips.(half + j) lor bit;
+              if (fz lsr j) land 1 = 1 then
+                w.flips.(half + k + j) <- w.flips.(half + k + j) lor bit
+            done
+        done;
+        let word slot =
+          Int64.logor
+            (Int64.of_int w.flips.(slot))
+            (Int64.shift_left (Int64.of_int w.flips.(slots + slot)) 32)
         in
-        let bit = Int64.shift_left 1L b in
         for j = 0 to k - 1 do
-          if jx.(j) then w.muxx.(j) <- Int64.logor w.muxx.(j) bit;
-          if jz.(j) then w.muxz.(j) <- Int64.logor w.muxz.(j) bit
-        done
-      done);
+          w.decx.(j) <- word j;
+          w.decz.(j) <- word (k + j)
+        done;
+        word (2 * k)
+      | Memo ->
+        Array.fill w.decx 0 k 0L;
+        Array.fill w.decz 0 k 0L;
+        let u = ref 0L in
+        for b = 0 to 63 do
+          let sv = Plane.shot_vec w.synd b in
+          let key = Bitvec.to_string sv in
+          let cls =
+            match Hashtbl.find_opt w.memo key with
+            | Some hit -> hit
+            | None ->
+              let fresh = cmp.classify_syndrome sv in
+              Hashtbl.add w.memo key fresh;
+              fresh
+          in
+          let bit = Int64.shift_left 1L b in
+          match cls with
+          | None -> u := Int64.logor !u bit
+          | Some (jx, jz) ->
+            for j = 0 to k - 1 do
+              if jx.(j) then w.decx.(j) <- Int64.logor w.decx.(j) bit;
+              if jz.(j) then w.decz.(j) <- Int64.logor w.decz.(j) bit
+            done
+        done;
+        !u
+    in
+    let decodable = Int64.lognot undecodable in
     for j = 0 to k - 1 do
       let px = parity_sel w.xs w.zs cmp.lzs.(j)
       and pz = parity_sel w.xs w.zs cmp.lxs.(j) in
       let slot = (j * lanes) + lane in
-      w.accx.(slot) <- Int64.logxor w.accx.(slot) (Int64.logxor px w.muxx.(j));
-      w.accz.(slot) <- Int64.logxor w.accz.(slot) (Int64.logxor pz w.muxz.(j))
+      let hit p dec =
+        Int64.logor (Int64.logand (Int64.logxor p dec) decodable) undecodable
+      in
+      w.accx.(slot) <- Int64.logxor w.accx.(slot) (hit px w.decx.(j));
+      w.accz.(slot) <- Int64.logxor w.accz.(slot) (hit pz w.decz.(j))
     done
   in
   let batch w keys ~base:_ ~count =
@@ -268,8 +280,10 @@ let memory_failure_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
            xs = Array.make n 0L;
            zs = Array.make n 0L;
            synd = Array.make (max cmp.m 1) 0L;
-           muxx = Array.make k 0L;
-           muxz = Array.make k 0L;
+           shots = Array.make 64 0L;
+           flips = Array.make (2 * ((2 * k) + 1)) 0;
+           decx = Array.make k 0L;
+           decz = Array.make k 0L;
            accx = Array.make (k * lanes) 0L;
            accz = Array.make (k * lanes) 0L;
            memo = Hashtbl.create 64;

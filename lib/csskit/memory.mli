@@ -6,15 +6,23 @@
     k-generic extension of the k = 1 Steane stack).
 
     The batch driver runs on the bit-sliced {!Frame} engine at any
-    tile width.  The classifier is compiled from the code's own
-    decoder: codes with ≤ [mux_max_checks] generators use a fully
-    word-wise disjoint syndrome-minterm OR-mux (the Steane-table
-    construction, generalized); larger codes (e.g. Golay's 22 checks)
-    assemble per-shot syndromes from the syndrome words and decode
-    through a per-worker memo table.  The [`Scalar] engine is the
-    cross-check: the identical sampler sequence with each shot
-    extracted and classified by the scalar decoder — counts are
-    bit-identical to [`Batch] by construction. *)
+    tile width.  Per shot, the residual's logical indicators are the
+    error's logical parities XOR a function of the syndrome alone (the
+    logicals the decoder's correction flips), evaluated 64 shots at a
+    time by one of two classifiers, chosen from the code's shape:
+    - when both sides have at most {!Kit.max_table_checks} checks and
+      k ≤ 62 (every zoo code): the lane's syndrome words are
+      block-transposed to one word per shot, and each shot costs two
+      lookups into the code's per-side {!Kit.flip_tables} — the
+      decoder is a CSS product, so the flipped logicals are the X
+      side's for the H_Z syndrome and the Z side's for the H_X one
+      (every logical, on both sides, when either side is
+      undecodable);
+    - otherwise: per-shot syndromes decoded through a per-worker memo
+      keyed by the syndrome bitstring.
+    The [`Scalar] engine is the cross-check: the identical sampler
+    sequence with each shot extracted and classified by the scalar
+    decoder — counts are bit-identical to [`Batch] by construction. *)
 
 type engine = [ `Batch | `Scalar ]
 
@@ -49,7 +57,6 @@ val memory_failure_batch :
   ?obs:Obs.t ->
   ?engine:engine ->
   ?tile_width:int ->
-  ?mux_max_checks:int ->
   Kit.t ->
   eps:float ->
   rounds:int ->

@@ -1,32 +1,41 @@
 module Bitvec = Gf2.Bitvec
 
 (* The 2-D decoder is the generic union-find/peeling engine
-   (Match_graph) run on the lattice's plaquette-adjacency graph; the
-   graph is cached per lattice size. *)
+   (Match_graph) run on the lattice's plaquette graph, whose edge ids
+   are qubit indices. *)
 
-let graphs : (int, Match_graph.t) Hashtbl.t = Hashtbl.create 4
+type workspace = {
+  lat : Lattice.t;
+  mg : Match_graph.workspace;
+  defects : int array;
+}
 
-let graph_for lat =
-  let l = Lattice.size lat in
-  match Hashtbl.find_opt graphs l with
-  | Some g -> g
-  | None ->
-    let g = Match_graph.create ~num_nodes:(Lattice.num_plaquettes lat) in
-    for e = 0 to Lattice.num_qubits lat - 1 do
-      let a, b = Lattice.edge_endpoints lat e in
-      (* edge ids coincide with qubit indices: edges are added in
-         qubit order *)
-      ignore (Match_graph.add_edge g a b)
-    done;
-    Hashtbl.add graphs l g;
-    g
+let workspace lat =
+  { lat;
+    mg = Match_graph.workspace (Lattice.graph lat);
+    defects = Array.make (Lattice.num_plaquettes lat) 0 }
+
+let correct_into w syndrome residual =
+  let np = Lattice.num_plaquettes w.lat in
+  if Bitvec.length syndrome <> np then invalid_arg "Decoder.correct_into";
+  let count = ref 0 in
+  for i = 0 to np - 1 do
+    if Bitvec.get syndrome i then begin
+      w.defects.(!count) <- i;
+      incr count
+    end
+  done;
+  let s = Match_graph.decode_into w.mg ~defects:w.defects ~count:!count in
+  let selected = Match_graph.selected w.mg in
+  for i = 0 to s - 1 do
+    Bitvec.flip residual selected.(i)
+  done
 
 let decode lat syndrome =
   let n_nodes = Lattice.num_plaquettes lat in
   if Bitvec.length syndrome <> n_nodes then invalid_arg "Decoder.decode";
-  let g = graph_for lat in
   let defects = Array.init n_nodes (Bitvec.get syndrome) in
-  let selected = Match_graph.decode g ~defects in
+  let selected = Match_graph.decode (Lattice.graph lat) ~defects in
   let correction = Bitvec.create (Lattice.num_qubits lat) in
   Array.iteri (fun e on -> if on then Bitvec.set correction e true) selected;
   correction

@@ -11,8 +11,19 @@
     fault-tolerant" phase. *)
 
 (** [decode lattice syndrome] — an X-correction (edge set) whose
-    syndrome equals [syndrome]. *)
+    syndrome equals [syndrome].  A one-shot call ({!Match_graph.decode});
+    hot loops hold a {!workspace} instead. *)
 val decode : Lattice.t -> Gf2.Bitvec.t -> Gf2.Bitvec.t
+
+(** Reusable decoding scratch for one lattice; one per domain or
+    thread. *)
+type workspace
+
+val workspace : Lattice.t -> workspace
+
+(** [correct_into w syndrome residual] — XOR {!decode}'s correction
+    for [syndrome] into [residual], in place. *)
+val correct_into : workspace -> Gf2.Bitvec.t -> Gf2.Bitvec.t -> unit
 
 (** [greedy_decode lattice syndrome] — baseline ablation: repeatedly
     pair the two closest defects by torus Manhattan distance and

@@ -11,7 +11,8 @@
 
 type t
 
-(** [create l] — an L×L torus (l ≥ 2). *)
+(** [create l] — an L×L torus (l ≥ 2), with its edge endpoints,
+    winding selectors and plaquette graph precomputed. *)
 val create : int -> t
 
 val size : t -> int
@@ -36,6 +37,12 @@ val vertex_edges : t -> x:int -> y:int -> int list
     plaquette indices), for building the X-error syndrome graph. *)
 val edge_endpoints : t -> int -> int * int
 
+(** [graph t] — the plaquette-adjacency graph the decoder matches on:
+    one node per plaquette, one edge per qubit (edge id = qubit
+    index) joining its {!edge_endpoints}.  Shared by every user of
+    [t]; do not add edges to it. *)
+val graph : t -> Match_graph.t
+
 (** [syndrome t error] — plaquette parity vector of an X-error edge
     set. *)
 val syndrome : t -> Gf2.Bitvec.t -> Gf2.Bitvec.t
@@ -44,6 +51,10 @@ val syndrome : t -> Gf2.Bitvec.t -> Gf2.Bitvec.t
     edges): the two homology coordinates of a trivial-syndrome edge
     set; (false,false) = contractible = stabilizer element. *)
 val winding : t -> Gf2.Bitvec.t -> bool * bool
+
+(** [winding_selectors t] — the qubits {!winding} takes the parities
+    of: (v(0, y) for every y, h(x, 0) for every x). *)
+val winding_selectors : t -> int array * int array
 
 (** [logical_x1 t] / [logical_x2 t] — representative noncontractible
     loops (edge sets) winding the torus in the two directions. *)

@@ -4,8 +4,8 @@ type result = { l : int; p : float; trials : int; failures : int; rate : float }
 
 (* One trial: sample IID X noise into [error] (fully overwritten),
    decode, judge the residual's homology class.  [lat] is immutable
-   after creation and [Decoder] allocates its own scratch, so one
-   lattice is safely shared across domains. *)
+   after creation and a one-shot decode never shares its scratch with
+   a concurrent one, so one lattice is safely shared across domains. *)
 let trial_one lat ~decoder ~p error rng =
   Bitvec.randomize ~p rng error;
   let syndrome = Lattice.syndrome lat error in
@@ -55,7 +55,8 @@ let run_mc ?domains ?obs ?(decoder = `Union_find) ~l ~p ~trials ~seed () =
    batched; only the matching itself stays per shot.  [`Scalar]
    re-runs every extracted shot through the existing
    Lattice.syndrome / Decoder pipeline on the same sampled noise, so
-   its counts are bit-identical to [`Batch] by construction. *)
+   its counts are bit-identical to [`Batch] by construction.  Each
+   worker holds one decoder workspace and one residual buffer. *)
 let plaquette_checks lat ~l =
   Array.init (Lattice.num_plaquettes lat) (fun idx ->
       let x = idx mod l and y = idx / l in
@@ -63,10 +64,6 @@ let plaquette_checks lat ~l =
         Frame.Program.x_sel = Array.of_list (Lattice.plaquette_edges lat ~x ~y);
         z_sel = [||];
       })
-
-let winding_selectors lat ~l =
-  ( Array.init l (fun y -> Lattice.v_edge lat ~x:0 ~y),
-    Array.init l (fun x -> Lattice.h_edge lat ~x ~y:0) )
 
 (* Lanes with at least this many defect shots extract them through
    the block transpose; sparser lanes bit-probe per shot (a 64x64
@@ -88,21 +85,19 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
       [ Frame.Program.Flip_x { qubits; p };
         Frame.Program.Extract (plaquette_checks lat ~l) ]
   in
-  let wx_sel, wy_sel = winding_selectors lat ~l in
+  let wx_sel, wy_sel = Lattice.winding_selectors lat in
   let eb = (nq + 63) / 64 * 64 and sb = (np + 63) / 64 * 64 in
-  let decode syndrome =
-    match decoder with
-    | `Union_find -> Decoder.decode lat syndrome
-    | `Greedy -> Decoder.greedy_decode lat syndrome
-  in
-  let judge error syndrome fail b =
-    let correction = decode syndrome in
-    let residual = Bitvec.xor error correction in
+  let judge (ws, residual) error syndrome fail b =
+    Bitvec.blit ~src:error residual;
+    (match decoder with
+    | `Union_find -> Decoder.correct_into ws syndrome residual
+    | `Greedy ->
+      Bitvec.xor_into ~src:(Decoder.greedy_decode lat syndrome) residual);
     assert (Bitvec.is_zero (Lattice.syndrome lat residual));
     let wx, wy = Lattice.winding lat residual in
     if wx || wy then fail := Int64.logor !fail (Int64.shift_left 1L b)
   in
-  let batch (plane, out, terr, tsyn) keys ~base:_ ~count =
+  let batch (plane, out, terr, tsyn, dec) keys ~base:_ ~count =
     let sampler = Frame.Sampler.create_tile keys in
     Frame.Plane.clear plane;
     Frame.Program.run_into prog sampler plane out;
@@ -135,7 +130,7 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
                 ~nrows:np tsyn;
               for b = 0 to live - 1 do
                 if Frame.Plane.bit any b then
-                  judge
+                  judge dec
                     (Frame.Plane.shot_of_transposed terr ~len:nq b)
                     (Frame.Plane.shot_of_transposed tsyn ~len:np b)
                     fail b
@@ -144,7 +139,7 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
             else
               for b = 0 to live - 1 do
                 if Frame.Plane.bit any b then
-                  judge
+                  judge dec
                     (Frame.Plane.extract_shot_x plane ((64 * j) + b))
                     (Frame.Plane.row_shot_vec out ~lanes ~lane:j ~pos:0
                        ~len:np b)
@@ -158,7 +153,7 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
           let fail = ref 0L in
           for b = 0 to live - 1 do
             let error = Frame.Plane.extract_shot_x plane ((64 * j) + b) in
-            judge error (Lattice.syndrome lat error) fail b
+            judge dec error (Lattice.syndrome lat error) fail b
           done;
           !fail)
   in
@@ -171,7 +166,8 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
            ( Frame.Plane.create ~width:tile_width nq,
              Array.make (np * lanes) 0L,
              Array.make eb 0L,
-             Array.make sb 0L ))
+             Array.make sb 0L,
+             (Decoder.workspace lat, Bitvec.create nq) ))
          ~batch ())
   in
   result ~l ~p ~trials failures

@@ -38,8 +38,9 @@ let build_graph lat ~rounds =
   { g; spatial_qubit }
 
 (* One trial against a prebuilt space-time graph.  The graph and
-   lattice are read-only here ([Match_graph.decode] copies what it
-   mutates), so one build is safely shared across worker domains. *)
+   lattice are read-only here ([Match_graph.decode] never shares its
+   scratch with a concurrent call), so one build is safely shared
+   across worker domains. *)
 let trial_one lat graph ~rounds ~p ~q rng =
   let nq = Lattice.num_qubits lat in
   let np = Lattice.num_plaquettes lat in
@@ -169,8 +170,7 @@ let run_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64) ~l ~rounds
       [ Frame.Program.Flip_x { qubits; p }; Frame.Program.Extract checks ]
   in
   let qplan = Frame.Sampler.plan q in
-  let wx_sel = Array.init l (fun y -> Lattice.v_edge lat ~x:0 ~y) in
-  let wy_sel = Array.init l (fun x -> Lattice.h_edge lat ~x ~y:0) in
+  let wx_sel, wy_sel = Lattice.winding_selectors lat in
   let judge error correction fail b =
     let residual = Bitvec.xor error correction in
     let wx, wy = Lattice.winding lat residual in

@@ -15,5 +15,6 @@ let () =
    @ Test_toric.suites @ Test_noisy_toric.suites @ Test_anyon.suites
    @ Test_synthesis.suites @ Test_more_properties.suites @ Test_mc.suites
    @ Test_obs.suites @ Test_campaign.suites @ Test_inject.suites
-   @ Test_subset.suites @ Test_csskit.suites @ Test_svc.suites
+   @ Test_subset.suites @ Test_csskit.suites @ Test_decode_counts.suites
+   @ Test_svc.suites
    @ Test_fleet.suites)

@@ -228,24 +228,41 @@ let test_cyclic_and_bch () =
 
 (* --- batch classifier: bit-identity ----------------------------------- *)
 
+(* The L x L toric code as a CSS pair: plaquette checks in H_Z, vertex
+   checks in H_X, one dependent row dropped from each. *)
+let toric_css l =
+  let lat = Toric.Lattice.create l in
+  let rows f =
+    Mat.of_rows
+      (List.init ((l * l) - 1) (fun i ->
+           bv_of_support (Toric.Lattice.num_qubits lat) (f ~x:(i mod l) ~y:(i / l))))
+  in
+  Csskit.build_exn ~distance:l ~name:(Printf.sprintf "toric%d" l)
+    ~hx:(rows (Toric.Lattice.vertex_edges lat))
+    ~hz:(rows (Toric.Lattice.plaquette_edges lat))
+    ()
+
 (* The `Scalar engine replays the identical sampler stream through the
    scalar decoder, so counts must be bit-identical to `Batch at every
-   tile width and domain count — steane7 exercises the minterm OR-mux
-   path, golay23 the per-shot memo path, bch15 the k = 7 multi-logical
-   mux. *)
-let css_counts ~name ~tile_width ~domains ~engine () =
-  let t = Csskit.Zoo.get name in
+   tile width and domain count — steane7, golay23 and bch15 (k = 7)
+   exercise the per-side flip tables.  The toric codes as CSS pairs
+   add undecodable syndromes, where a round toggles every logical
+   whatever the error, on both paths: L = 2 (3-check sides) and L = 4
+   (15-check sides) the flip tables, L = 5 (24-check sides) the
+   memo. *)
+let css_counts t ~tile_width ~domains ~engine () =
   (Csskit.Memory.memory_failure_batch ~domains ~engine ~tile_width t ~eps:0.08
      ~rounds:2 ~trials:700 ~seed:97 ())
     .Mc.Stats.failures
 
 let test_batch_scalar_identity () =
   List.iter
-    (fun name ->
+    (fun t ->
+      let name = t.Csskit.name in
       List.iter
         (fun tile_width ->
           let reference =
-            css_counts ~name ~tile_width ~domains:1 ~engine:`Scalar ()
+            css_counts t ~tile_width ~domains:1 ~engine:`Scalar ()
           in
           List.iter
             (fun domains ->
@@ -253,15 +270,144 @@ let test_batch_scalar_identity () =
                 (Printf.sprintf "%s w=%d batch = scalar (domains %d)" name
                    tile_width domains)
                 reference
-                (css_counts ~name ~tile_width ~domains ~engine:`Batch ());
+                (css_counts t ~tile_width ~domains ~engine:`Batch ());
               check_int
                 (Printf.sprintf "%s w=%d scalar domain-invariant (domains %d)"
                    name tile_width domains)
                 reference
-                (css_counts ~name ~tile_width ~domains ~engine:`Scalar ()))
+                (css_counts t ~tile_width ~domains ~engine:`Scalar ()))
             [ 1; 4 ])
         [ 64; 256; 512 ])
-    [ "steane7"; "golay23"; "bch15" ]
+    (List.map Csskit.Zoo.get [ "steane7"; "golay23"; "bch15" ]
+    @ List.map toric_css [ 2; 4; 5 ])
+
+(* --- per-side flip tables ---------------------------------------------- *)
+
+(* The reference classification the batch classifier must reproduce:
+   decode the full syndrome and list the logicals the correction
+   flips, every logical on both sides when it is undecodable. *)
+let classify t sv =
+  let k = t.Csskit.k and code = t.Csskit.code in
+  match Csskit.decode t sv with
+  | None -> (Array.make k true, Array.make k true)
+  | Some c ->
+    ( Array.init k (fun j -> not (Pauli.commutes c code.Code.logical_z.(j))),
+      Array.init k (fun j -> not (Pauli.commutes c code.Code.logical_x.(j))) )
+
+let by_tables t (tables : Csskit.flip_tables) sv =
+  let k = t.Csskit.k and nz = Mat.rows t.Csskit.hz in
+  let nx = Mat.rows t.Csskit.hx in
+  let side ~pos ~len = Bitvec.to_int (Bitvec.sub sv ~pos ~len) in
+  let fx = tables.x_flips.(side ~pos:0 ~len:nz)
+  and fz = tables.z_flips.(side ~pos:nz ~len:nx) in
+  if fx = Csskit.undecodable || fz = Csskit.undecodable then
+    (Array.make k true, Array.make k true)
+  else
+    ( Array.init k (fun j -> (fx lsr j) land 1 = 1),
+      Array.init k (fun j -> (fz lsr j) land 1 = 1) )
+
+(* every one-sided syndrome and 10^4 random full ones; returns how many
+   of them some side decoder rejected *)
+let check_tables t =
+  let nz = Mat.rows t.Csskit.hz and nx = Mat.rows t.Csskit.hx in
+  let tables =
+    match Csskit.flip_tables t with
+    | Some tables -> tables
+    | None -> Alcotest.failf "%s: no flip tables" t.Csskit.name
+  in
+  let undecodable = ref 0 in
+  let agree what sv =
+    let expected = classify t sv in
+    if fst expected = Array.make t.Csskit.k true && Csskit.decode t sv = None then
+      incr undecodable;
+    check (t.Csskit.name ^ " " ^ what) true (by_tables t tables sv = expected)
+  in
+  let one_sided ~pos ~len =
+    for s = 0 to (1 lsl len) - 1 do
+      let sv = Bitvec.create (nz + nx) in
+      for i = 0 to len - 1 do
+        if (s lsr i) land 1 = 1 then Bitvec.set sv (pos + i) true
+      done;
+      agree (Printf.sprintf "one-sided syndrome %d at %d" s pos) sv
+    done
+  in
+  one_sided ~pos:0 ~len:nz;
+  one_sided ~pos:nz ~len:nx;
+  let r = Random.State.make [| 31 |] in
+  for _ = 1 to 10_000 do
+    let sv = Bitvec.create (nz + nx) in
+    Bitvec.randomize ~p:0.5 r sv;
+    agree "random syndrome" sv
+  done;
+  !undecodable
+
+let test_flip_tables () =
+  (* the zoo's golay23 and bch31 are perfect codes: every side
+     syndrome decodes *)
+  List.iter
+    (fun name ->
+      check_int (name ^ " undecodable") 0 (check_tables (Csskit.Zoo.get name)))
+    [ "golay23"; "bch31" ];
+  (* the L = 4 toric code's 15-check sides decode only weight <= 1, so
+     most syndromes carry the undecodable mark *)
+  check "toric L4 has undecodable syndromes" true (check_tables (toric_css 4) > 0);
+  check "24-check sides have no flip tables" true
+    (Csskit.flip_tables (toric_css 5) = None)
+
+(* --- concurrent first use ------------------------------------------------ *)
+
+(* Systhreads (as in the in-process daemon) force the decoders and
+   flip tables of fresh, never-forced codes at once.  With [Lazy.t]
+   cells a thread that lands on a build another thread is still
+   running raises [CamlinternalLazy.Undefined]; the once-cells make it
+   wait, and every thread must see the one built table. *)
+let test_concurrent_first_use () =
+  let h =
+    Csskit.Zoo.cyclic_parity_check ~n:23
+      (Gf2.Poly.of_exponents [ 0; 1; 5; 6; 7; 9; 11 ])
+  in
+  let kits =
+    Array.init 48 (fun i ->
+        Csskit.build_exn ~distance:7 ~name:(Printf.sprintf "golay23-%d" i)
+          ~hx:h ~hz:h ())
+  in
+  let go = Atomic.make false in
+  let force_all () =
+    while not (Atomic.get go) do
+      Thread.yield ()
+    done;
+    Array.map
+      (fun t ->
+        ignore (Csskit.decoder t);
+        Csskit.flip_tables t)
+      kits
+  in
+  let threads = 8 in
+  let results = Array.make threads (Error "not run") in
+  let workers =
+    List.init threads (fun i ->
+        Thread.create
+          (fun () ->
+            results.(i) <-
+              (match force_all () with
+              | tables -> Ok tables
+              | exception e -> Error (Printexc.to_string e)))
+          ())
+  in
+  Atomic.set go true;
+  List.iter Thread.join workers;
+  let first = match results.(0) with Ok r -> r | Error m -> Alcotest.fail m in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Error m -> Alcotest.failf "thread %d raised %s" i m
+      | Ok tables ->
+        Array.iteri
+          (fun j table ->
+            check (Printf.sprintf "thread %d, code %d: one table" i j) true
+              (table != None && table == first.(j)))
+          tables)
+    results
 
 (* the two memory drivers agree statistically at matched trial counts
    (they draw different streams, so compare intervals, not counts) *)
@@ -296,5 +442,9 @@ let suites =
           test_cyclic_and_bch;
         Alcotest.test_case "batch = scalar bit-identity" `Slow
           test_batch_scalar_identity;
+        Alcotest.test_case "flip tables = full-syndrome decode" `Slow
+          test_flip_tables;
+        Alcotest.test_case "concurrent first use" `Slow
+          test_concurrent_first_use;
         Alcotest.test_case "mc and batch drivers consistent" `Slow
           test_mc_and_batch_consistent ] ) ]

@@ -140,6 +140,69 @@ let test_circuit_memory_protected_phase () =
   check "below threshold bigger lattice no worse" true
     (low_big.failures <= low_small.failures + 2)
 
+(* --- union-find = the reference matcher ------------------------------ *)
+
+(* The workspace decoder must select exactly the reference's edges
+   (test/match_graph_oracle.ml, the pre-workspace implementation): a
+   different valid matching would change failure counts.  Graphs: the
+   toric plaquette graph for L = 2..8 (L = 2 has parallel edges) and
+   2-4-round space-time graphs built as Noisy_memory builds them (or,
+   without the temporal edges, 2-4 disconnected copies); each defect
+   set is a random subset, so odd totals exercise the odd-parity
+   rejection too. *)
+let both_graphs ~l ~rounds ~temporal =
+  let lat = Toric.Lattice.create l in
+  let np = Toric.Lattice.num_plaquettes lat in
+  let g = Mg.create ~num_nodes:(np * rounds) in
+  let o = Match_graph_oracle.create ~num_nodes:(np * rounds) in
+  let add a b =
+    let id = Mg.add_edge g a b in
+    assert (Match_graph_oracle.add_edge o a b = id)
+  in
+  for t = 0 to rounds - 1 do
+    for e = 0 to Toric.Lattice.num_qubits lat - 1 do
+      let a, b = Toric.Lattice.edge_endpoints lat e in
+      add ((t * np) + a) ((t * np) + b)
+    done;
+    if temporal && t < rounds - 1 then
+      for p = 0 to np - 1 do
+        add ((t * np) + p) (((t + 1) * np) + p)
+      done
+  done;
+  (g, o)
+
+let outcome f = match f () with sel -> Ok sel | exception Invalid_argument m -> Error m
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"union-find selects the reference matcher's edges"
+    ~count:400
+    (QCheck.make
+       ~print:(fun (l, rounds, temporal, seed) ->
+         Printf.sprintf "L=%d rounds=%d temporal=%b seed=%d" l rounds temporal
+           seed)
+       QCheck.Gen.(quad (int_range 2 8) (int_range 1 4) bool int))
+    (fun (l, rounds, temporal, seed) ->
+      let g, o = both_graphs ~l ~rounds ~temporal in
+      let w = Mg.workspace g in
+      let n = Mg.num_nodes g in
+      let r = Random.State.make [| seed |] in
+      List.for_all
+        (fun _ ->
+          (* mostly sparse, as below threshold, some dense *)
+          let density = 0.5 *. (Random.State.float r 1.0 ** 2.0) in
+          let defects = Array.init n (fun _ -> Random.State.float r 1.0 < density) in
+          let expected = outcome (fun () -> Match_graph_oracle.decode o ~defects) in
+          let nodes = Array.of_list (List.filter (fun v -> defects.(v)) (List.init n Fun.id)) in
+          let sparse () =
+            let s = Mg.decode_into w ~defects:nodes ~count:(Array.length nodes) in
+            let sel = Array.make (Mg.num_edges g) false in
+            Array.iteri (fun i e -> if i < s then sel.(e) <- true) (Mg.selected w);
+            sel
+          in
+          expected = outcome (fun () -> Mg.decode g ~defects)
+          && expected = outcome sparse)
+        (List.init 60 Fun.id))
+
 let suites =
   [ ( "toric.match_graph",
       [ Alcotest.test_case "path matching" `Quick test_path_matching;
@@ -148,7 +211,8 @@ let suites =
         Alcotest.test_case "odd parity rejected" `Quick
           test_odd_parity_rejected;
         Alcotest.test_case "disconnected components" `Quick
-          test_disconnected_components ] );
+          test_disconnected_components;
+        QCheck_alcotest.to_alcotest prop_matches_reference ] );
     ( "toric.noisy_memory",
       [ Alcotest.test_case "perfect measurement limit" `Quick
           test_perfect_measurement_limit;
