@@ -9,53 +9,29 @@ type result = {
   rate : float;
 }
 
-(* space-time graph over [rounds]+1 detection layers (noisy rounds plus
-   the final noise-free readout layer) *)
-let build_graph lat ~layers =
-  let np = Lattice.num_plaquettes lat in
-  let g = Match_graph.create ~num_nodes:(np * layers) in
-  let spatial_qubit = Hashtbl.create (Lattice.num_qubits lat * layers) in
-  for t = 0 to layers - 1 do
-    for e = 0 to Lattice.num_qubits lat - 1 do
-      let a, b = Lattice.edge_endpoints lat e in
-      let id = Match_graph.add_edge g ((t * np) + a) ((t * np) + b) in
-      Hashtbl.add spatial_qubit id e
-    done;
-    if t < layers - 1 then
-      for p = 0 to np - 1 do
-        ignore (Match_graph.add_edge g ((t * np) + p) (((t + 1) * np) + p))
-      done
-  done;
-  (g, spatial_qubit)
-
-let plaquette_op lat ~total ~x ~y =
+(* a Z string on the given data edges *)
+let z_on ~total support =
   List.fold_left
     (fun acc e -> Pauli.mul acc (Pauli.single total e Pauli.Z))
-    (Pauli.identity total)
-    (Lattice.plaquette_edges lat ~x ~y)
+    (Pauli.identity total) support
 
 let logical_z_ops lat ~total =
   let l = Lattice.size lat in
-  let z_on support =
-    List.fold_left
-      (fun acc e -> Pauli.mul acc (Pauli.single total e Pauli.Z))
-      (Pauli.identity total) support
-  in
-  ( z_on (List.init l (fun y -> Lattice.v_edge lat ~x:0 ~y)),
-    z_on (List.init l (fun x -> Lattice.h_edge lat ~x ~y:0)) )
+  ( z_on ~total (List.init l (fun y -> Lattice.v_edge lat ~x:0 ~y)),
+    z_on ~total (List.init l (fun x -> Lattice.h_edge lat ~x ~y:0)) )
 
 (* Everything a trial needs that is worth building once: lattice,
-   space-time graph, logical operators, plaquette checks.  All
-   read-only during trials, so one setup is shared across worker
-   domains. *)
+   space-time graph over [rounds]+1 detection layers (noisy rounds
+   plus the final noise-free readout layer), logical operators,
+   plaquette checks.  All read-only during trials, so one setup is
+   shared across worker domains. *)
 type setup = {
   s_l : int;
   lat : Lattice.t;
   nq : int;
   np : int;
   total : int;
-  g : Match_graph.t;
-  spatial_qubit : (int, int) Hashtbl.t;
+  space_time : Decoder.space_time;
   z1 : Pauli.t;
   z2 : Pauli.t;
   plaq_ops : Pauli.t array;
@@ -67,19 +43,16 @@ let make_setup ~l ~rounds =
   let nq = Lattice.num_qubits lat in
   let np = Lattice.num_plaquettes lat in
   let total = nq + np in
-  let layers = rounds + 1 in
-  let g, spatial_qubit = build_graph lat ~layers in
+  let space_time = Decoder.space_time lat ~layers:(rounds + 1) in
   let z1, z2 = logical_z_ops lat ~total in
   let plaq_ops =
     Array.init np (fun p ->
-        plaquette_op lat ~total ~x:(p mod l) ~y:(p / l))
+        z_on ~total (Lattice.plaquette_edges lat ~x:(p mod l) ~y:(p / l)))
   in
-  { s_l = l; lat; nq; np; total; g; spatial_qubit; z1; z2; plaq_ops }
+  { s_l = l; lat; nq; np; total; space_time; z1; z2; plaq_ops }
 
 let trial_one st ~rounds ~noise rng =
-  let { s_l = l; lat; nq; np; total; g; spatial_qubit; z1; z2; plaq_ops } =
-    st
-  in
+  let { s_l = l; lat; nq; np; total; space_time; z1; z2; plaq_ops } = st in
   begin
     let sim = Ft.Sim.create ~n:total ~noise rng in
     let tab = Ft.Sim.tableau sim in
@@ -118,15 +91,7 @@ let trial_one st ~rounds ~noise rng =
         defects.((rounds * np) + p) <- true
     done;
     (* decode in space-time and apply the spatial corrections *)
-    let selected = Match_graph.decode g ~defects in
-    let correction = Bitvec.create nq in
-    Array.iteri
-      (fun id on ->
-        if on then
-          match Hashtbl.find_opt spatial_qubit id with
-          | Some e -> Bitvec.flip correction e
-          | None -> ())
-      selected;
+    let correction = Decoder.decode_space_time lat space_time ~defects in
     let cpauli =
       Bitvec.support correction
       |> List.fold_left
@@ -262,15 +227,7 @@ let run_faults_sim st ~rounds active =
 (* Decode a defect pattern and judge the corrected data error — the
    back half of [trial_one], shared by both evaluation paths. *)
 let dp_judge st ~defects ~error =
-  let selected = Match_graph.decode st.g ~defects in
-  let correction = Bitvec.create st.nq in
-  Array.iteri
-    (fun id on ->
-      if on then
-        match Hashtbl.find_opt st.spatial_qubit id with
-        | Some e -> Bitvec.flip correction e
-        | None -> ())
-    selected;
+  let correction = Decoder.decode_space_time st.lat st.space_time ~defects in
   let residual = Bitvec.xor error correction in
   let wx, wy = Lattice.winding st.lat residual in
   wx || wy

@@ -4,33 +4,6 @@ module Bitvec = Gf2.Bitvec
    (Match_graph) run on the lattice's plaquette graph, whose edge ids
    are qubit indices. *)
 
-type workspace = {
-  lat : Lattice.t;
-  mg : Match_graph.workspace;
-  defects : int array;
-}
-
-let workspace lat =
-  { lat;
-    mg = Match_graph.workspace (Lattice.graph lat);
-    defects = Array.make (Lattice.num_plaquettes lat) 0 }
-
-let correct_into w syndrome residual =
-  let np = Lattice.num_plaquettes w.lat in
-  if Bitvec.length syndrome <> np then invalid_arg "Decoder.correct_into";
-  let count = ref 0 in
-  for i = 0 to np - 1 do
-    if Bitvec.get syndrome i then begin
-      w.defects.(!count) <- i;
-      incr count
-    end
-  done;
-  let s = Match_graph.decode_into w.mg ~defects:w.defects ~count:!count in
-  let selected = Match_graph.selected w.mg in
-  for i = 0 to s - 1 do
-    Bitvec.flip residual selected.(i)
-  done
-
 let decode lat syndrome =
   let n_nodes = Lattice.num_plaquettes lat in
   if Bitvec.length syndrome <> n_nodes then invalid_arg "Decoder.decode";
@@ -38,6 +11,42 @@ let decode lat syndrome =
   let selected = Match_graph.decode (Lattice.graph lat) ~defects in
   let correction = Bitvec.create (Lattice.num_qubits lat) in
   Array.iteri (fun e on -> if on then Bitvec.set correction e true) selected;
+  correction
+
+(* --- space-time graph ------------------------------------------------ *)
+
+type space_time = { graph : Match_graph.t; qubit : int array }
+
+(* Node (plaq, t) is [t * np + plaq].  Layer t's spatial edges come in
+   qubit order, then (below the last layer) its temporal edges in
+   plaquette order, so at one layer the edge ids are the qubit
+   indices of the plaquette graph. *)
+let space_time lat ~layers =
+  if layers < 1 then invalid_arg "Decoder.space_time: layers >= 1";
+  let np = Lattice.num_plaquettes lat and nq = Lattice.num_qubits lat in
+  let graph = Match_graph.create ~num_nodes:(np * layers) in
+  let qubit = Array.make ((nq * layers) + (np * (layers - 1))) (-1) in
+  for t = 0 to layers - 1 do
+    for e = 0 to nq - 1 do
+      let a, b = Lattice.edge_endpoints lat e in
+      qubit.(Match_graph.add_edge graph ((t * np) + a) ((t * np) + b)) <- e
+    done;
+    if t < layers - 1 then
+      for plaq = 0 to np - 1 do
+        ignore
+          (Match_graph.add_edge graph ((t * np) + plaq) (((t + 1) * np) + plaq))
+      done
+  done;
+  { graph; qubit }
+
+let decode_space_time lat st ~defects =
+  let selected = Match_graph.decode st.graph ~defects in
+  let correction = Bitvec.create (Lattice.num_qubits lat) in
+  Array.iteri
+    (fun id on ->
+      (* a temporal edge is a diagnosed measurement error *)
+      if on && st.qubit.(id) >= 0 then Bitvec.flip correction st.qubit.(id))
+    selected;
   correction
 
 (* --- greedy baseline ------------------------------------------------ *)

@@ -11,19 +11,28 @@
     fault-tolerant" phase. *)
 
 (** [decode lattice syndrome] — an X-correction (edge set) whose
-    syndrome equals [syndrome].  A one-shot call ({!Match_graph.decode});
-    hot loops hold a {!workspace} instead. *)
+    syndrome equals [syndrome].  A one-shot call
+    ({!Match_graph.decode}). *)
 val decode : Lattice.t -> Gf2.Bitvec.t -> Gf2.Bitvec.t
 
-(** Reusable decoding scratch for one lattice; one per domain or
-    thread. *)
-type workspace
+(** The space-time matching graph of a syndrome history: node
+    [(plaq, t)] is [t * num_plaquettes + plaq] for [layers] detection
+    layers; spatial edges are qubit errors within a layer, temporal
+    edges join a plaquette to itself in the next layer (a measurement
+    error).  [qubit.(id)] is spatial edge [id]'s qubit, or [-1] for a
+    temporal edge.  At one layer the graph is the plaquette graph
+    ({!Lattice.graph}) edge for edge. *)
+type space_time = { graph : Match_graph.t; qubit : int array }
 
-val workspace : Lattice.t -> workspace
+(** [space_time lattice ~layers] ([layers >= 1]). *)
+val space_time : Lattice.t -> layers:int -> space_time
 
-(** [correct_into w syndrome residual] — XOR {!decode}'s correction
-    for [syndrome] into [residual], in place. *)
-val correct_into : workspace -> Gf2.Bitvec.t -> Gf2.Bitvec.t -> unit
+(** [decode_space_time lattice st ~defects] — one-shot: match the
+    detection events [defects] (one flag per node) in [st.graph] and
+    return the selected spatial edges as an X-correction on the
+    lattice's qubits. *)
+val decode_space_time :
+  Lattice.t -> space_time -> defects:bool array -> Gf2.Bitvec.t
 
 (** [greedy_decode lattice syndrome] — baseline ablation: repeatedly
     pair the two closest defects by torus Manhattan distance and

@@ -22,7 +22,7 @@ type workspace = {
   head : int array;  (* first boundary cell, at roots *)
   defect : bool array;  (* peeling's running defect marks *)
   seen : int array;  (* tick stamp: listed this round / visited by the DFS *)
-  low : int array;  (* per cluster root: least touched member *)
+  low : int array;  (* per cluster root: least member *)
   pedge : int array;
   pnode : int array;
   edge : int array;  (* gen * 4 + growth *)
@@ -122,6 +122,7 @@ let touch w v =
   w.rank.(v) <- 0;
   w.parity.(v) <- false;
   w.defect.(v) <- false;
+  w.low.(v) <- v;
   w.touched.(w.n_touched) <- v;
   w.n_touched <- w.n_touched + 1;
   let first = w.c.off.(v) and last = w.c.off.(v + 1) - 1 in
@@ -155,7 +156,8 @@ let find w v =
   end
 
 (* Union by rank; the smaller root's boundary is reversed onto the
-   front of the bigger's (the reference's [List.rev_append]). *)
+   front of the bigger's (the reference's [List.rev_append]), and the
+   merged root keeps the lesser of the two least members. *)
 let union w a b =
   let ra = find w a and rb = find w b in
   if ra <> rb then begin
@@ -164,6 +166,7 @@ let union w a b =
     w.parent.(small) <- big;
     if w.rank.(big) = w.rank.(small) then w.rank.(big) <- w.rank.(big) + 1;
     w.parity.(big) <- w.parity.(big) <> w.parity.(small);
+    if w.low.(small) < w.low.(big) then w.low.(big) <- w.low.(small);
     let acc = ref w.head.(big) and cell = ref w.head.(small) in
     while !cell <> nil do
       let next = w.cell_next.(!cell) in
@@ -303,22 +306,13 @@ let decode_into w ~defects ~count =
   grow w ~count;
   (* clusters of two or more nodes (rank > 0 at the root) are exactly
      the components of grown edges; each is peeled from its least
-     member, as the reference's ascending DFS starts do *)
+     member, as the reference's ascending DFS starts do.  Components
+     are disjoint, so the order they are peeled in does not change
+     the selected set. *)
   w.tick <- w.tick + 1;
   for i = 0 to w.n_touched - 1 do
     let v = w.touched.(i) in
-    let r = find w v in
-    if w.seen.(r) <> w.tick then begin
-      w.seen.(r) <- w.tick;
-      w.low.(r) <- v
-    end
-    else if v < w.low.(r) then w.low.(r) <- v
-  done;
-  w.tick <- w.tick + 1;
-  for i = 0 to w.n_touched - 1 do
-    let v = w.touched.(i) in
-    let r = find w v in
-    if w.rank.(r) > 0 && w.low.(r) = v then peel w v
+    if w.parent.(v) = v && w.rank.(v) > 0 then peel w w.low.(v)
   done;
   w.n_sel
 

@@ -34,28 +34,30 @@ val run_mc :
   unit ->
   result
 
-(** [run_batch ?domains ?engine ?decoder ?tile_width ~l ~p ~trials
+(** [run_batch ?domains ?campaign ?engine ?tile_width ~l ~p ~trials
     ~seed ()] — the bit-sliced engine: 64 shots per word,
     [tile_width / 64] words per tile (default 64; 256/512 are the
     tuned widths), word-wise noise sampling and plaquette syndromes
-    ({!Frame}).  An early parity-based clean/defect split judges
-    defect-free shots by word-parallel winding; defect shots are
-    extracted tile-at-a-time through a 64x64 block transpose and
-    decoded per shot.  [`Batch] (default) and [`Scalar] see the
-    identical sampled noise (same {!Frame.Sampler} call sequence), so
-    their failure counts are bit-identical — across engines, domain
-    counts and tile widths; [`Scalar] re-runs the existing per-shot
-    pipeline as the cross-check / baseline.  The legacy
-    [run]/[run_mc] use per-shot [Random.State] sampling and keep
-    their historical counts.  [?campaign] threads a checkpoint ledger
-    through to {!Mc.Runner.failures}: completed tiles are journaled
-    (chunk size = [tile_width]) and skipped on resume. *)
+    ({!Frame}).  It is {!Noisy_memory.run_batch} at one perfect round
+    ([rounds = 1], [q = 0]): shots without a defect are judged by
+    word-parallel winding, defect shots are matched straight from
+    their lane's syndrome words with union-find decoding, and each
+    lane's residual is checked and judged word-wise.  [`Batch]
+    (default) and [`Scalar] see the identical sampled noise (same
+    {!Frame.Sampler} call sequence), so their failure counts are
+    bit-identical — across engines, domain counts and tile widths;
+    [`Scalar] re-runs the per-shot pipeline ({!Lattice.syndrome},
+    one-shot decoding, {!Lattice.winding}) as the cross-check /
+    baseline.  The legacy [run]/[run_mc] use per-shot [Random.State]
+    sampling and keep their historical counts.  [?campaign] threads a
+    checkpoint ledger through to {!Mc.Runner.failures}: completed
+    tiles are journaled (chunk size = [tile_width]) and skipped on
+    resume. *)
 val run_batch :
   ?domains:int ->
   ?obs:Obs.t ->
   ?campaign:Mc.Campaign.t ->
   ?engine:[ `Batch | `Scalar ] ->
-  ?decoder:[ `Union_find | `Greedy ] ->
   ?tile_width:int ->
   l:int ->
   p:float ->

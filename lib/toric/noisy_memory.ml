@@ -10,38 +10,19 @@ type result = {
   rate : float;
 }
 
-(* Build the space-time matching graph once per (l, rounds): node
-   (plaq, t) for t in 0..rounds-1; spatial edges replicate the lattice
-   adjacency at each time slice, temporal edges link consecutive
-   slices.  Edge ids are recorded so spatial corrections can be mapped
-   back to qubits. *)
-type graph = {
-  g : Match_graph.t;
-  spatial_qubit : (int, int) Hashtbl.t; (* edge id -> qubit *)
-}
+(* The per-shot judgment: the residual must have trivial syndrome,
+   and the shot fails if it winds the torus. *)
+let fails lat ~error ~correction =
+  let residual = Bitvec.xor error correction in
+  assert (Bitvec.is_zero (Lattice.syndrome lat residual));
+  let wx, wy = Lattice.winding lat residual in
+  wx || wy
 
-let build_graph lat ~rounds =
-  let np = Lattice.num_plaquettes lat in
-  let g = Match_graph.create ~num_nodes:(np * rounds) in
-  let spatial_qubit = Hashtbl.create (Lattice.num_qubits lat * rounds) in
-  for t = 0 to rounds - 1 do
-    for e = 0 to Lattice.num_qubits lat - 1 do
-      let a, b = Lattice.edge_endpoints lat e in
-      let id = Match_graph.add_edge g ((t * np) + a) ((t * np) + b) in
-      Hashtbl.add spatial_qubit id e
-    done;
-    if t < rounds - 1 then
-      for plaq = 0 to np - 1 do
-        ignore (Match_graph.add_edge g ((t * np) + plaq) (((t + 1) * np) + plaq))
-      done
-  done;
-  { g; spatial_qubit }
-
-(* One trial against a prebuilt space-time graph.  The graph and
-   lattice are read-only here ([Match_graph.decode] never shares its
-   scratch with a concurrent call), so one build is safely shared
-   across worker domains. *)
-let trial_one lat graph ~rounds ~p ~q rng =
+(* One trial against a prebuilt space-time graph of [rounds] layers.
+   The graph and lattice are read-only here ([Match_graph.decode]
+   never shares its scratch with a concurrent call), so one build is
+   safely shared across worker domains. *)
+let trial_one lat st ~rounds ~p ~q rng =
   let nq = Lattice.num_qubits lat in
   let np = Lattice.num_plaquettes lat in
   let error = Bitvec.create nq in
@@ -65,31 +46,19 @@ let trial_one lat graph ~rounds ~p ~q rng =
     done;
     Bitvec.blit ~src:observed prev
   done;
-  let selected = Match_graph.decode graph.g ~defects in
-  let correction = Bitvec.create nq in
-  Array.iteri
-    (fun id on ->
-      if on then
-        match Hashtbl.find_opt graph.spatial_qubit id with
-        | Some qubit -> Bitvec.flip correction qubit
-        | None -> () (* temporal edge: a diagnosed measurement error *))
-    selected;
-  let residual = Bitvec.xor error correction in
-  assert (Bitvec.is_zero (Lattice.syndrome lat residual));
-  let wx, wy = Lattice.winding lat residual in
-  wx || wy
+  fails lat ~error ~correction:(Decoder.decode_space_time lat st ~defects)
 
-let run_with_graph lat graph ~rounds ~p ~q ~trials rng =
+let run_with_graph lat st ~rounds ~p ~q ~trials rng =
   let failures = ref 0 in
   for _ = 1 to trials do
-    if trial_one lat graph ~rounds ~p ~q rng then incr failures
+    if trial_one lat st ~rounds ~p ~q rng then incr failures
   done;
   !failures
 
 let setup ~l ~rounds =
-  if rounds < 2 then invalid_arg "Noisy_memory.run: need >= 2 rounds";
+  if rounds < 1 then invalid_arg "Noisy_memory.run: need >= 1 round";
   let lat = Lattice.create l in
-  (lat, build_graph lat ~rounds)
+  (lat, Decoder.space_time lat ~layers:rounds)
 
 let result ~l ~rounds ~p ~q ~trials failures =
   { l;
@@ -101,198 +70,266 @@ let result ~l ~rounds ~p ~q ~trials failures =
     rate = float_of_int failures /. float_of_int trials }
 
 let run ~l ~rounds ~p ~q ~trials rng =
-  let lat, graph = setup ~l ~rounds in
-  let failures = run_with_graph lat graph ~rounds ~p ~q ~trials rng in
+  let lat, st = setup ~l ~rounds in
+  let failures = run_with_graph lat st ~rounds ~p ~q ~trials rng in
   result ~l ~rounds ~p ~q ~trials failures
 
 let run_mc ?domains ?obs ~l ~rounds ~p ~q ~trials ~seed () =
-  let lat, graph = setup ~l ~rounds in
+  let lat, st = setup ~l ~rounds in
   let failures =
     Mc.Runner.failures ?domains ?obs ~trials ~seed
-      (Mc.Runner.scalar (fun rng _ -> trial_one lat graph ~rounds ~p ~q rng))
+      (Mc.Runner.scalar (fun rng _ -> trial_one lat st ~rounds ~p ~q rng))
   in
   result ~l ~rounds ~p ~q ~trials failures
 
-(* Bit-sliced batch engine, [tile_width / 64] words per tile.  The
-   sampling and space-time-defect phase is word-wise and shared
-   verbatim by both engines (same sampler call sequence, so identical
-   noise); decoding falls back per shot.  Per lane, shots with no
-   detection events anywhere skip the matcher and are judged by
-   word-parallel winding; the defect shots' final error planes are
-   extracted tile-at-a-time through a 64x64 block transpose.  All
-   word buffers are row-major: row [i]'s lane [j] at [i * lanes + j]. *)
+(* The bit-sliced batch kernel, [tile_width / 64] words per tile, and
+   the only toric one: plain memory ({!Memory.run_batch}) is its
+   one-round, q = 0 case.  Word buffers are row-major, row [i]'s lane
+   [j] at [i * lanes + j].
+
+   Sampling is word-wise and shared verbatim by both engines (same
+   sampler call sequence, so identical noise).  Each round flips
+   qubits and extracts the plaquette syndrome; measurement flips
+   (none in the final, perfect round) turn it into the observed
+   syndrome, and its change since the previous round gives that
+   round's detection rows.  At one round the detection rows are the
+   syndrome rows.
+
+   [`Batch] judges a lane word-wise.  A lane with no detection event
+   is judged by its clean winding alone.  Otherwise each live defect
+   shot's detection nodes are read off the lane's rows (through one
+   block transpose of them when the lane has [transpose_threshold]
+   defect shots or more, by bit-probing below that) and matched in
+   the worker's workspace; the selected spatial edges are XORed into
+   one correction word per qubit.  The residual (error plane XOR
+   corrections) must have zero syndrome on every live shot, and its
+   winding parity is the failure word.  [`Scalar] re-runs every shot
+   through the one-shot pipeline on per-round snapshots of the same
+   noise, so its counts equal [`Batch]'s by construction. *)
 type batch_ctx = {
   plane : Frame.Plane.t;
-  out : int64 array;     (* np rows: one round's syndrome tiles *)
-  mw : int64 array;      (* np*rounds rows: measurement-flip tiles *)
-  dw : int64 array;      (* np*rounds rows: defect tiles *)
-  prev : int64 array;    (* np rows: previous round's observed syndrome *)
-  acc : int64 array;     (* nq*rounds rows: accumulated-error snapshots *)
-  defects : bool array;  (* np*rounds: one shot's defect pattern *)
-  terr : int64 array;    (* transposed error plane, one lane *)
+  out : int64 array;  (* np rows: one round's syndrome *)
+  det : int64 array;  (* np*rounds rows: detection events ([out] at one round) *)
+  mw : int64 array;  (* np*rounds rows: measurement flips *)
+  prev : int64 array;  (* np rows: previous round's observed syndrome *)
+  acc : int64 array;  (* [`Scalar] only: nq*rounds rows, per-round errors *)
+  err : int64 array;  (* nq rows: the final error plane, copied on demand *)
+  tdet : int64 array;  (* one lane's detection rows, block-transposed *)
+  nodes : int array;  (* one shot's detection nodes *)
+  corr : int64 array;  (* one lane's correction, one word per qubit *)
+  ws : Match_graph.workspace;
 }
 
-let correction_of_selected graph ~nq selected =
-  let correction = Bitvec.create nq in
-  Array.iteri
-    (fun id on ->
-      if on then
-        match Hashtbl.find_opt graph.spatial_qubit id with
-        | Some qubit -> Bitvec.flip correction qubit
-        | None -> () (* temporal edge: a diagnosed measurement error *))
-    selected;
-  correction
-
-(* As in Memory: lanes with at least this many defect shots extract
-   their error planes through the block transpose. *)
+(* Lanes with at least this many defect shots read their detection
+   nodes through the block transpose; sparser lanes bit-probe the
+   rows per shot (a 64x64 transpose costs ~6x64 word ops per block,
+   so it amortizes after a few shots). *)
 let transpose_threshold = 3
 
-let run_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64) ~l ~rounds
-    ~p ~q ~trials ~seed () =
-  let lat, graph = setup ~l ~rounds in
+(* Index of the lowest set bit of a nonzero word (de Bruijn
+   multiplication).  This and [parity] are inlined so that their
+   int64 argument or result is not boxed on every call. *)
+let debruijn = 0x03f79d71b4ca8b09L
+
+let ctz_table =
+  let t = Array.make 64 0 in
+  for i = 0 to 63 do
+    t.(Int64.to_int (Int64.shift_right_logical (Int64.shift_left debruijn i) 58))
+    <- i
+  done;
+  t
+
+let[@inline] ctz w =
+  ctz_table.(Int64.to_int
+               (Int64.shift_right_logical
+                  (Int64.mul (Int64.logand w (Int64.neg w)) debruijn)
+                  58))
+
+let[@inline] parity words sel =
+  let acc = ref 0L in
+  for i = 0 to Array.length sel - 1 do
+    acc := Int64.logxor !acc words.(sel.(i))
+  done;
+  !acc
+
+let run_batch ?domains ?obs ?campaign ?(engine = `Batch) ?(tile_width = 64) ~l
+    ~rounds ~p ~q ~trials ~seed () =
+  let lat, st = setup ~l ~rounds in
   let nq = Lattice.num_qubits lat in
   let np = Lattice.num_plaquettes lat in
   if tile_width < 64 || tile_width mod 64 <> 0 then
     invalid_arg "Toric.Noisy_memory: tile_width must be a positive multiple of 64";
   let lanes = tile_width / 64 in
-  let qubits = Array.init nq Fun.id in
-  let checks =
-    Array.init np (fun idx ->
-        let x = idx mod l and y = idx / l in
-        {
-          Frame.Program.x_sel =
-            Array.of_list (Lattice.plaquette_edges lat ~x ~y);
-          z_sel = [||];
-        })
+  let nrows = np * rounds in
+  let nblocks = (nrows + 63) / 64 in
+  let plaq =
+    Array.init np (fun i ->
+        Array.of_list (Lattice.plaquette_edges lat ~x:(i mod l) ~y:(i / l)))
   in
   let round_prog =
     Frame.Program.make ~n:nq
-      [ Frame.Program.Flip_x { qubits; p }; Frame.Program.Extract checks ]
+      [ Frame.Program.Flip_x { qubits = Array.init nq Fun.id; p };
+        Frame.Program.Extract
+          (Array.map (fun x_sel -> { Frame.Program.x_sel; z_sel = [||] }) plaq)
+      ]
   in
   let qplan = Frame.Sampler.plan q in
   let wx_sel, wy_sel = Lattice.winding_selectors lat in
-  let judge error correction fail b =
-    let residual = Bitvec.xor error correction in
-    let wx, wy = Lattice.winding lat residual in
-    if wx || wy then fail := Int64.logor !fail (Int64.shift_left 1L b)
-  in
-  let match_shot ctx ~lane b =
-    for r = 0 to (np * rounds) - 1 do
-      ctx.defects.(r) <- Frame.Plane.bit ctx.dw.((r * lanes) + lane) b
-    done;
-    let selected = Match_graph.decode graph.g ~defects:ctx.defects in
-    correction_of_selected graph ~nq selected
-  in
-  let batch ctx keys ~base:_ ~count =
+  let snapshots = engine = `Scalar in
+  let sample ctx keys =
     let sampler = Frame.Sampler.create_tile keys in
     Frame.Plane.clear ctx.plane;
     Array.fill ctx.prev 0 (np * lanes) 0L;
     for t = 0 to rounds - 1 do
       Frame.Program.run_into round_prog sampler ctx.plane ctx.out;
-      Frame.Plane.blit_x ctx.plane ctx.acc (t * nq * lanes);
-      for i = 0 to np - 1 do
-        let row = i * lanes in
-        if t < rounds - 1 && q > 0.0 then
-          Frame.Sampler.bernoulli_plan_into sampler qplan ctx.mw
-            (((t * np) + i) * lanes)
-        else Array.fill ctx.mw (((t * np) + i) * lanes) lanes 0L;
-        for j = 0 to lanes - 1 do
-          let m = ctx.mw.((((t * np) + i) * lanes) + j) in
-          let observed = Int64.logxor ctx.out.(row + j) m in
-          ctx.dw.((((t * np) + i) * lanes) + j) <-
-            Int64.logxor observed ctx.prev.(row + j);
-          ctx.prev.(row + j) <- observed
+      if snapshots then Frame.Plane.blit_x ctx.plane ctx.acc (t * nq * lanes);
+      if rounds > 1 then
+        for i = 0 to np - 1 do
+          let row = i * lanes and r = ((t * np) + i) * lanes in
+          if t < rounds - 1 && q > 0.0 then
+            Frame.Sampler.bernoulli_plan_into sampler qplan ctx.mw r
+          else Array.fill ctx.mw r lanes 0L;
+          for j = 0 to lanes - 1 do
+            let observed = Int64.logxor ctx.out.(row + j) ctx.mw.(r + j) in
+            ctx.det.(r + j) <- Int64.logxor observed ctx.prev.(row + j);
+            ctx.prev.(row + j) <- observed
+          done
         done
+    done
+  in
+  (* shot [b]'s detection nodes into [ctx.nodes], ascending *)
+  let transposed_nodes ctx b =
+    let count = ref 0 in
+    for d = 0 to nblocks - 1 do
+      let w = ref ctx.tdet.((d * 64) + b) in
+      while !w <> 0L do
+        ctx.nodes.(!count) <- (d * 64) + ctz !w;
+        incr count;
+        w := Int64.logand !w (Int64.sub !w 1L)
       done
     done;
+    !count
+  in
+  let probed_nodes ctx ~lane b =
+    let count = ref 0 in
+    for r = 0 to nrows - 1 do
+      if Frame.Plane.bit ctx.det.((r * lanes) + lane) b then begin
+        ctx.nodes.(!count) <- r;
+        incr count
+      end
+    done;
+    !count
+  in
+  let judge_lane ctx loaded ~live j =
+    let any = ref 0L in
+    for r = 0 to nrows - 1 do
+      any := Int64.logor !any ctx.det.((r * lanes) + j)
+    done;
+    let any = !any in
+    let wx = Frame.Plane.parity_x ~lane:j ctx.plane wx_sel
+    and wy = Frame.Plane.parity_x ~lane:j ctx.plane wy_sel in
+    let clean = Int64.logand (Int64.logor wx wy) (Int64.lognot any) in
+    let mask = Mc.Runner.live_mask (max live 0) in
+    let todo = Int64.logand any mask in
+    if todo = 0L then clean
+    else begin
+      let transposed = Mc.Runner.popcount64 todo >= transpose_threshold in
+      if transposed then
+        Frame.Plane.transpose_rows ~src:ctx.det ~lanes ~lane:j ~pos:0 ~nrows
+          ctx.tdet;
+      let corr = ctx.corr in
+      Array.fill corr 0 nq 0L;
+      let rest = ref todo in
+      while !rest <> 0L do
+        let b = ctz !rest in
+        rest := Int64.logand !rest (Int64.sub !rest 1L);
+        let count =
+          if transposed then transposed_nodes ctx b
+          else probed_nodes ctx ~lane:j b
+        in
+        let s = Match_graph.decode_into ctx.ws ~defects:ctx.nodes ~count in
+        let sel = Match_graph.selected ctx.ws and m = Int64.shift_left 1L b in
+        for i = 0 to s - 1 do
+          let qb = st.Decoder.qubit.(sel.(i)) in
+          if qb >= 0 then corr.(qb) <- Int64.logxor corr.(qb) m
+        done
+      done;
+      (* corr becomes the residual *)
+      if not !loaded then begin
+        Frame.Plane.blit_x ctx.plane ctx.err 0;
+        loaded := true
+      end;
+      for qb = 0 to nq - 1 do
+        corr.(qb) <- Int64.logxor corr.(qb) ctx.err.((qb * lanes) + j)
+      done;
+      let syn = ref 0L in
+      for i = 0 to np - 1 do
+        syn := Int64.logor !syn (parity corr plaq.(i))
+      done;
+      assert (Int64.logand !syn mask = 0L);
+      let wound = Int64.logor (parity corr wx_sel) (parity corr wy_sel) in
+      Int64.logor clean (Int64.logand wound todo)
+    end
+  in
+  (* the per-shot reference pipeline *)
+  let scalar_lane ctx ~live j =
+    let fail = ref 0L in
+    for b = 0 to live - 1 do
+      let prev = Bitvec.create np in
+      let defects = Array.make nrows false in
+      for t = 0 to rounds - 1 do
+        let error_t =
+          Frame.Plane.row_shot_vec ctx.acc ~lanes ~lane:j ~pos:(t * nq) ~len:nq
+            b
+        in
+        let observed = Lattice.syndrome lat error_t in
+        for i = 0 to np - 1 do
+          if Frame.Plane.bit ctx.mw.((((t * np) + i) * lanes) + j) b then
+            Bitvec.flip observed i
+        done;
+        for i = 0 to np - 1 do
+          if Bitvec.get observed i <> Bitvec.get prev i then
+            defects.((t * np) + i) <- true
+        done;
+        Bitvec.blit ~src:observed prev
+      done;
+      let error =
+        Frame.Plane.row_shot_vec ctx.acc ~lanes ~lane:j ~pos:((rounds - 1) * nq)
+          ~len:nq b
+      in
+      if fails lat ~error ~correction:(Decoder.decode_space_time lat st ~defects)
+      then fail := Int64.logor !fail (Int64.shift_left 1L b)
+    done;
+    !fail
+  in
+  let batch ctx keys ~base:_ ~count =
+    sample ctx keys;
+    let live j = min 64 (count - (64 * j)) in
     match engine with
     | `Batch ->
-      Array.init lanes (fun j ->
-          let live = min 64 (count - (64 * j)) in
-          let any = ref 0L in
-          for r = 0 to (np * rounds) - 1 do
-            any := Int64.logor !any ctx.dw.((r * lanes) + j)
-          done;
-          let clean_winding =
-            Int64.logor
-              (Frame.Plane.parity_x ~lane:j ctx.plane wx_sel)
-              (Frame.Plane.parity_x ~lane:j ctx.plane wy_sel)
-          in
-          let any = !any in
-          let fail = ref (Int64.logand clean_winding (Int64.lognot any)) in
-          if any <> 0L then begin
-            let nd =
-              Mc.Runner.popcount64
-                (Int64.logand any (Mc.Runner.live_mask (max live 0)))
-            in
-            let transposed = nd >= transpose_threshold in
-            if transposed then Frame.Plane.transpose_x ctx.plane ~lane:j ctx.terr;
-            for b = 0 to live - 1 do
-              if Frame.Plane.bit any b then begin
-                let correction = match_shot ctx ~lane:j b in
-                let error =
-                  if transposed then
-                    Frame.Plane.shot_of_transposed ctx.terr ~len:nq b
-                  else Frame.Plane.extract_shot_x ctx.plane ((64 * j) + b)
-                in
-                judge error correction fail b
-              end
-            done
-          end;
-          !fail)
-    | `Scalar ->
-      (* re-run the existing per-shot pipeline on the per-round
-         snapshots of the same sampled noise *)
-      Array.init lanes (fun j ->
-          let live = min 64 (count - (64 * j)) in
-          let fail = ref 0L in
-          for b = 0 to live - 1 do
-            let prev_b = Bitvec.create np in
-            Array.fill ctx.defects 0 (np * rounds) false;
-            for t = 0 to rounds - 1 do
-              let error_t =
-                Frame.Plane.row_shot_vec ctx.acc ~lanes ~lane:j ~pos:(t * nq)
-                  ~len:nq b
-              in
-              let observed = Bitvec.copy (Lattice.syndrome lat error_t) in
-              for i = 0 to np - 1 do
-                if Frame.Plane.bit ctx.mw.((((t * np) + i) * lanes) + j) b then
-                  Bitvec.flip observed i
-              done;
-              for i = 0 to np - 1 do
-                if Bitvec.get observed i <> Bitvec.get prev_b i then
-                  ctx.defects.((t * np) + i) <- true
-              done;
-              Bitvec.blit ~src:observed prev_b
-            done;
-            let selected = Match_graph.decode graph.g ~defects:ctx.defects in
-            let correction = correction_of_selected graph ~nq selected in
-            let error =
-              Frame.Plane.row_shot_vec ctx.acc ~lanes ~lane:j
-                ~pos:((rounds - 1) * nq) ~len:nq b
-            in
-            let residual = Bitvec.xor error correction in
-            assert (Bitvec.is_zero (Lattice.syndrome lat residual));
-            let wx, wy = Lattice.winding lat residual in
-            if wx || wy then fail := Int64.logor !fail (Int64.shift_left 1L b)
-          done;
-          !fail)
+      let loaded = ref false in
+      Array.init lanes (fun j -> judge_lane ctx loaded ~live:(live j) j)
+    | `Scalar -> Array.init lanes (fun j -> scalar_lane ctx ~live:(live j) j)
   in
   let failures =
-    Mc.Runner.failures ?domains ?obs
+    Mc.Runner.failures ?domains ?obs ?campaign
       ~engine:(Mc.Engine.batch ~tile_width ())
       ~trials ~seed
       (Mc.Runner.model
          ~worker_init:(fun () ->
+           let out = Array.make (np * lanes) 0L in
            {
              plane = Frame.Plane.create ~width:tile_width nq;
-             out = Array.make (np * lanes) 0L;
-             mw = Array.make (np * rounds * lanes) 0L;
-             dw = Array.make (np * rounds * lanes) 0L;
+             out;
+             det = (if rounds = 1 then out else Array.make (nrows * lanes) 0L);
+             mw = Array.make (nrows * lanes) 0L;
              prev = Array.make (np * lanes) 0L;
-             acc = Array.make (nq * rounds * lanes) 0L;
-             defects = Array.make (np * rounds) false;
-             terr = Array.make ((nq + 63) / 64 * 64) 0L;
+             acc = (if snapshots then Array.make (nq * rounds * lanes) 0L else [||]);
+             err = Array.make (nq * lanes) 0L;
+             tdet = Array.make (nblocks * 64) 0L;
+             nodes = Array.make nrows 0;
+             corr = Array.make nq 0L;
+             ws = Match_graph.workspace st.graph;
            })
          ~batch ())
   in

@@ -5,7 +5,8 @@
     Errors accumulate over [rounds] measurement rounds: each round,
     every qubit flips with probability [p] and every reported
     plaquette bit is wrong with probability [q]; a final perfect round
-    closes the history (the standard memory-experiment convention).
+    closes the history (the standard memory-experiment convention), so
+    one round is plain perfect-measurement memory ({!Memory}).
     Decoding matches *detection events* (differences between
     consecutive syndrome records) in the space-time graph: spatial
     edges are qubit errors, vertical edges are measurement errors.
@@ -51,19 +52,30 @@ val run_mc :
   unit ->
   result
 
-(** [run_batch ?domains ?engine ?tile_width ~l ~rounds ~p ~q ~trials
-    ~seed ()] — the bit-sliced engine: per round, qubit-flip and
-    measurement-flip tiles ([tile_width / 64] words, default 64) are
-    sampled word-wise and turned into space-time defect tiles; per
-    lane, shots with no detection events skip the matcher entirely
-    (word-parallel winding), the rest have their error planes
-    block-transposed out tile-at-a-time and are matched per shot.
-    [`Batch] and [`Scalar] share the identical sampled noise, so
-    counts are bit-identical — across engines, domain counts and tile
-    widths; see {!Memory.run_batch}. *)
+(** [run_batch ?domains ?campaign ?engine ?tile_width ~l ~rounds ~p ~q
+    ~trials ~seed ()] — the bit-sliced engine, and the one toric batch
+    kernel ({!Memory.run_batch} is its [rounds = 1], [q = 0] case).
+    Per round, qubit-flip and measurement-flip tiles ([tile_width /
+    64] words, default 64) are sampled word-wise and turned into
+    space-time detection rows; at one round these are the syndrome
+    rows.  [`Batch] (default) judges each 64-shot lane word-wise:
+    shots with no detection event by their winding alone; the rest
+    are matched straight from the lane's detection words (block-
+    transposed once a lane has three or more of them) in a
+    worker-held {!Match_graph.workspace}, their spatial corrections
+    XORed into one word per qubit, and the residual checked for zero
+    syndrome on every live shot before its winding is read.
+    [`Scalar] re-runs each shot through the one-shot pipeline
+    ({!Decoder.decode_space_time}, {!Lattice.syndrome},
+    {!Lattice.winding}) on the same sampled noise, so counts are
+    bit-identical — across engines, domain counts and tile widths.
+    [?campaign] journals completed tiles through
+    {!Mc.Runner.failures} (chunk size = [tile_width]) and skips them
+    on resume.  [rounds >= 1]. *)
 val run_batch :
   ?domains:int ->
   ?obs:Obs.t ->
+  ?campaign:Mc.Campaign.t ->
   ?engine:[ `Batch | `Scalar ] ->
   ?tile_width:int ->
   l:int ->

@@ -1,9 +1,13 @@
-(* Golden failure counts of the decode-bound estimators.  Every count
-   below was captured once, from the decoders as they stood before the
-   union-find workspace and the per-side syndrome tables, and is
-   stored in golden/decode-counts.json.  A decoder rewrite that picks
-   a different (equally valid) matching or correction changes some of
-   these counts, so the comparison is exact. *)
+(* Golden failure counts of the decode-bound estimators, stored in
+   golden/decode-counts.json.  The counts were captured from the
+   decoders as they stood before the union-find workspace and the
+   per-side syndrome tables; the toric L12 and noisy L5 r5 keys from
+   the batch kernels as they stood before plain memory became the
+   one-round case of the space-time kernel (they read 144 and 125
+   detection rows, so three and two transpose blocks).  A decoder or
+   kernel rewrite that picks a different (equally valid) matching or
+   correction changes some of these counts, so the comparison is
+   exact. *)
 
 open Ftqc
 
@@ -12,7 +16,7 @@ let deep_p = 0.000244140625 (* 2^-12 *)
 let widths = [ 64; 256; 512 ]
 let domain_counts = [ 1; 4 ]
 
-let per_width_and_domains name f =
+let per_width_and_domains ?(widths = widths) name f =
   List.concat_map
     (fun tile_width ->
       List.map
@@ -37,6 +41,8 @@ let cases : (string * (unit -> int)) list =
     (toric_batch ~l:5 ~p:0.05 ~trials:6000 ~seed:11)
   @ per_width_and_domains "toric L3 p=2^-12"
       (toric_batch ~l:3 ~p:deep_p ~trials:(1 lsl 21) ~seed:12)
+  @ per_width_and_domains ~widths:[ 256 ] "toric L12 p=0.08"
+      (toric_batch ~l:12 ~p:0.08 ~trials:4000 ~seed:20)
   @ List.concat_map
       (fun code ->
         per_width_and_domains ("css " ^ code ^ " eps=0.08") (css_batch code))
@@ -54,8 +60,13 @@ let cases : (string * (unit -> int)) list =
         fun () ->
           (Toric.Noisy_memory.run_batch ~domains:2 ~tile_width:128 ~l:4
              ~rounds:4 ~p:0.02 ~q:0.02 ~trials:2000 ~seed:17 ())
-            .Toric.Noisy_memory.failures );
-      ( "circuit run_mc L3 r3 eps=3e-3",
+            .Toric.Noisy_memory.failures ) ]
+  @ per_width_and_domains ~widths:[ 64; 256 ] "noisy run_batch L5 r5 p=q=0.03"
+      (fun ~tile_width ~domains ->
+        (Toric.Noisy_memory.run_batch ~domains ~tile_width ~l:5 ~rounds:5
+           ~p:0.03 ~q:0.03 ~trials:3000 ~seed:19 ())
+          .Toric.Noisy_memory.failures)
+  @ [ ( "circuit run_mc L3 r3 eps=3e-3",
         fun () ->
           (Toric.Circuit_memory.run_mc ~domains:2 ~l:3 ~rounds:3
              ~noise:(Ft.Noise.uniform 3e-3) ~trials:300 ~seed:15 ())

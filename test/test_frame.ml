@@ -274,23 +274,34 @@ let test_toric_batch_equals_scalar () =
             true
             (toric_counts ~l ~domains ~engine:`Batch () = reference))
         [ 1; 4 ])
-    [ 3; 5 ]
+    (* L12: 144 syndrome rows, three transpose blocks *)
+    [ 3; 5; 12 ]
 
-let noisy_toric_counts ?(tile_width = 64) ~domains ~engine () =
-  (Toric.Noisy_memory.run_batch ~domains ~engine ~tile_width ~l:3 ~rounds:3
+let noisy_toric_counts ?(tile_width = 64) ?(l = 3) ?(rounds = 3) ~domains
+    ~engine () =
+  (Toric.Noisy_memory.run_batch ~domains ~engine ~tile_width ~l ~rounds
      ~p:0.03 ~q:0.03 ~trials:300 ~seed:13 ())
     .Toric.Noisy_memory.failures
 
 let test_noisy_toric_batch_equals_scalar () =
-  let reference = noisy_toric_counts ~domains:1 ~engine:`Scalar () in
-  check "noisy toric: some failures observed" true (reference > 0);
   List.iter
-    (fun domains ->
+    (fun (l, rounds) ->
+      let reference = noisy_toric_counts ~l ~rounds ~domains:1 ~engine:`Scalar () in
       check
-        (Printf.sprintf "noisy toric batch = scalar (domains %d)" domains)
-        true
-        (noisy_toric_counts ~domains ~engine:`Batch () = reference))
-    [ 1; 4 ]
+        (Printf.sprintf "noisy toric L%d r%d: some failures observed" l rounds)
+        true (reference > 0);
+      List.iter
+        (fun domains ->
+          check
+            (Printf.sprintf "noisy toric L%d r%d batch = scalar (domains %d)" l
+               rounds domains)
+            true
+            (noisy_toric_counts ~l ~rounds ~domains ~engine:`Batch ()
+            = reference))
+        [ 1; 4 ])
+    (* L5 r3: 75 detection rows, two transpose blocks; one round: the
+       detection rows are the syndrome rows and q never applies *)
+    [ (3, 3); (5, 3); (3, 1) ]
 
 (* --- multi-word tiles: bit-identical counts at any width --------------- *)
 

@@ -602,6 +602,31 @@ let test_scan_matches_driver_derivation () =
             ls)
         ps)
 
+(* A one-round toric_noisy request is plain toric memory: the daemon
+   must run it (the protocol has always accepted rounds >= 1) and
+   return the toric_memory count for the same noise. *)
+let test_noisy_one_round_is_plain_memory () =
+  with_server (fun socket ->
+      let failures est =
+        match (request_ok socket est).payload with
+        | Protocol.Estimate { estimate; _ } -> estimate.failures
+        | _ -> Alcotest.fail "reply is not a single estimate"
+      in
+      let l = 5 and p = 0.05 and trials = 2000 and seed = 31 in
+      let tile_width = 256 in
+      let plain =
+        failures
+          (Protocol.Toric_memory { l; p; trials; seed; engine = `Batch; tile_width })
+      in
+      let noisy =
+        failures
+          (Protocol.Toric_noisy
+             { l; rounds = 1; p; q = 0.03; trials; seed; engine = `Batch;
+               tile_width })
+      in
+      check "some failures observed" true (plain > 0);
+      check_int "toric_noisy rounds 1 = toric_memory" plain noisy)
+
 let test_status_and_metrics () =
   with_server (fun socket ->
       let est = toric_est ~trials:100 () in
@@ -784,6 +809,8 @@ let suites =
         Alcotest.test_case "overload admission control" `Slow test_overload;
         Alcotest.test_case "scan matches driver derivation" `Slow
           test_scan_matches_driver_derivation;
+        Alcotest.test_case "one-round toric_noisy = toric_memory" `Quick
+          test_noisy_one_round_is_plain_memory;
         Alcotest.test_case "status metrics" `Quick test_status_and_metrics;
         Alcotest.test_case "progress completion streams" `Slow
           test_progress_completion_streams;
