@@ -43,10 +43,10 @@ let residual_class (code : Code.t) decoder e =
   | None -> None
   | Some c -> Some (classify_residual code (Pauli.mul c e))
 
-let steane_decoder = lazy (Steane.css_decoder ())
+let steane_decoder = Mc.Once.make Steane.css_decoder
 
 let steane_class e =
-  match residual_class Steane.code (Lazy.force steane_decoder) e with
+  match residual_class Steane.code (Mc.Once.force steane_decoder) e with
   | Some cls -> cls
   | None -> assert false (* the CSS table covers all 64 syndromes *)
 
@@ -203,30 +203,30 @@ type steane_tables = {
 }
 
 let steane_tables =
-  lazy
-    (let code = Steane.code in
-     let dec = Lazy.force steane_decoder in
-     let checks = Array.map Program.check_of_generator code.Code.generators in
-     let lzp = code.Code.logical_z.(0) and lxp = code.Code.logical_x.(0) in
-     let ax = Array.make 64 false and az = Array.make 64 false in
-     for s = 0 to 63 do
-       let sv = Bitvec.create 6 in
-       for i = 0 to 5 do
-         if (s lsr i) land 1 = 1 then Bitvec.set sv i true
-       done;
-       match Code.decode dec sv with
-       | None -> assert false (* the CSS table covers all 64 syndromes *)
-       | Some c ->
-         ax.(s) <- not (Pauli.commutes c lzp);
-         az.(s) <- not (Pauli.commutes c lxp)
-     done;
-     {
-       checks;
-       lz = Program.check_of_generator lzp;
-       lx = Program.check_of_generator lxp;
-       ax;
-       az;
-     })
+  Mc.Once.make (fun () ->
+      let code = Steane.code in
+      let dec = Mc.Once.force steane_decoder in
+      let checks = Array.map Program.check_of_generator code.Code.generators in
+      let lzp = code.Code.logical_z.(0) and lxp = code.Code.logical_x.(0) in
+      let ax = Array.make 64 false and az = Array.make 64 false in
+      for s = 0 to 63 do
+        let sv = Bitvec.create 6 in
+        for i = 0 to 5 do
+          if (s lsr i) land 1 = 1 then Bitvec.set sv i true
+        done;
+        match Code.decode dec sv with
+        | None -> assert false (* the CSS table covers all 64 syndromes *)
+        | Some c ->
+          ax.(s) <- not (Pauli.commutes c lzp);
+          az.(s) <- not (Pauli.commutes c lxp)
+      done;
+      {
+        checks;
+        lz = Program.check_of_generator lzp;
+        lx = Program.check_of_generator lxp;
+        ax;
+        az;
+      })
 
 let parity_sel (x : int64 array) (z : int64 array) off (c : Program.check) =
   let acc = ref 0L in
@@ -280,7 +280,7 @@ let run_memory_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
     invalid_arg "Pauli_frame: tile_width must be a positive multiple of 64";
   let lanes = tile_width / 64 in
   let n = pow7 level in
-  let tbl = Lazy.force steane_tables in
+  let tbl = Mc.Once.force steane_tables in
   let qubits = Array.init n Fun.id in
   let prog = Program.make ~n [ Program.Depolarize { qubits; px; py; pz } ] in
   let batch (plane, xs, zs, fail) keys ~base:_ ~count =

@@ -1,4 +1,3 @@
 include Kit
-module Once = Once
 module Zoo = Zoo
 module Memory = Memory

@@ -6,16 +6,11 @@
     - {!Zoo}: cyclic and BCH-derived members ([steane7], [golay23],
       [bch15], [bch31]) plus the constructions behind them.
     - {!Memory}: scalar and bit-sliced memory-failure drivers for any
-      pipeline code (the [css-memory] estimator's engine room).
-    - {!Once}: the thread-safe build-on-first-use cell behind the
-      decoders, flip tables and registry. *)
+      pipeline code (the [css-memory] estimator's engine room). *)
 
 include module type of struct
   include Kit
 end
 
-module Once : module type of struct
-  include Once
-end
 module Zoo : module type of Zoo
 module Memory : module type of Memory

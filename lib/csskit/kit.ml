@@ -12,8 +12,8 @@ type t = {
   distance : int;
   correctable : int;
   exact : bool;
-  sides : (side_decoder * side_decoder) Once.t;
-  flips : flip_tables option Once.t;
+  sides : (side_decoder * side_decoder) Mc.Once.t;
+  flips : flip_tables option Mc.Once.t;
 }
 
 and side_decoder = Bitvec.t -> Bitvec.t option
@@ -176,16 +176,16 @@ let build ?distance ?(distance_cap = 7) ?(table_budget = default_table_budget)
           Codes.Css.classical_decoder ~checks ~n ~max_weight:correctable
         else greedy_decode_side ~checks ~n
       in
-      let sides = Once.make (fun () -> (side hz, side hx)) in
+      let sides = Mc.Once.make (fun () -> (side hz, side hx)) in
       let flips =
-        Once.make (fun () ->
+        Mc.Once.make (fun () ->
             if
               k > 62
               || Mat.rows hz > max_table_checks
               || Mat.rows hx > max_table_checks
             then None
             else begin
-              let x_side, z_side = Once.force sides in
+              let x_side, z_side = Mc.Once.force sides in
               (* CSS logicals are pure: an X correction can only
                  anticommute with Z̄ⱼ through its Z support, and a Z
                  correction with X̄ⱼ through its X support *)
@@ -208,8 +208,8 @@ let build_exn ?distance ?distance_cap ?table_budget ~name ~hx ~hz () =
   | Ok t -> t
   | Error error -> raise (Invalid { name; error })
 
-let sides t = Once.force t.sides
-let flip_tables t = Once.force t.flips
+let sides t = Mc.Once.force t.sides
+let flip_tables t = Mc.Once.force t.flips
 
 let decoder t =
   compose ~n:t.n ~nz:(Mat.rows t.hz) ~nx:(Mat.rows t.hx) (sides t)

@@ -15,7 +15,7 @@
     estimator consume.
 
     Everything built on first use (side decoders, flip tables; the
-    {!Zoo} registry's codes) lives in {!Once} cells, so any number of
+    {!Zoo} registry's codes) lives in {!Mc.Once} cells, so any number of
     threads or domains may force them concurrently. *)
 
 (** A classical decoder for one CSS side: the side's syndrome (bit i =
@@ -43,9 +43,9 @@ type t = {
   exact : bool;
       (** [true]: exact minimum-weight lookup; [false]: greedy
           fallback (table would exceed the budget) *)
-  sides : (side_decoder * side_decoder) Once.t;
+  sides : (side_decoder * side_decoder) Mc.Once.t;
       (** (X side from the H_Z syndrome, Z side from the H_X one) *)
-  flips : flip_tables option Once.t;
+  flips : flip_tables option Mc.Once.t;
 }
 
 type error =

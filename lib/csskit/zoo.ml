@@ -131,7 +131,7 @@ let steane_parity_check () =
   assert (Mat.equal permuted hh);
   permuted
 
-type entry = { name : string; summary : string; code : Kit.t Once.t }
+type entry = { name : string; summary : string; code : Kit.t Mc.Once.t }
 
 let forced name = function
   | Ok t -> t
@@ -145,7 +145,7 @@ let entries =
       name = "steane7";
       summary = "[[7,1,3]] Steane from the cyclic Hamming code of x^3+x+1";
       code =
-        Once.make (fun () ->
+        Mc.Once.make (fun () ->
             let h = steane_parity_check () in
             forced "steane7" (Kit.build ~distance:3 ~name:"steane7" ~hx:h ~hz:h ()));
     };
@@ -153,7 +153,7 @@ let entries =
       name = "golay23";
       summary = "[[23,1,7]] from the binary Golay code of x^11+x^9+x^7+x^6+x^5+x+1";
       code =
-        Once.make (fun () ->
+        Mc.Once.make (fun () ->
             forced "golay23"
               (cyclic ~distance:7 ~name:"golay23" ~n:23
                  ~poly:(Poly.of_exponents [ 0; 1; 5; 6; 7; 9; 11 ])
@@ -163,14 +163,14 @@ let entries =
       name = "bch15";
       summary = "[[15,7,3]] from the BCH [15,11,3] code (defining set {1})";
       code =
-        Once.make (fun () ->
+        Mc.Once.make (fun () ->
             forced "bch15" (bch ~distance:3 ~name:"bch15" ~m:4 ~defining:[ 1 ] ()));
     };
     {
       name = "bch31";
       summary = "[[31,21,3]] from the BCH [31,26,3] code (defining set {1})";
       code =
-        Once.make (fun () ->
+        Mc.Once.make (fun () ->
             forced "bch31" (bch ~distance:3 ~name:"bch31" ~m:5 ~defining:[ 1 ] ()));
     };
   ]
@@ -180,7 +180,7 @@ let mem name = List.exists (fun e -> e.name = name) entries
 
 let find name =
   List.find_opt (fun e -> e.name = name) entries
-  |> Option.map (fun e -> Once.force e.code)
+  |> Option.map (fun e -> Mc.Once.force e.code)
 
 let get name =
   match find name with

@@ -64,7 +64,7 @@ val steane_parity_check : unit -> Gf2.Mat.t
 type entry = {
   name : string;
   summary : string;
-  code : Kit.t Once.t;  (** built on first use (decoders on theirs) *)
+  code : Kit.t Mc.Once.t;  (** built on first use (decoders on theirs) *)
 }
 
 (** The registered members: [steane7] [[7,1,3]], [golay23] [[23,1,7]],

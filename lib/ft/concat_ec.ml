@@ -166,8 +166,8 @@ let recover_l2 sim ~data ~scratch ~max_attempts =
 (* E17 driver                                                          *)
 
 let steane = Codes.Steane.code
-let level2 = lazy (Codes.Concat.steane_level 2)
-let css_decoder_l1 = lazy (Codes.Steane.css_decoder ())
+let level2 = Mc.Once.make (fun () -> Codes.Concat.steane_level 2)
+let css_decoder_l1 = Mc.Once.make Codes.Steane.css_decoder
 
 let project_eigenstate tab ~total ~plus_basis code ~offset =
   Array.iter
@@ -190,8 +190,8 @@ let ideal_judge_l2 sim ~plus_basis =
   let tab = Sim.tableau sim in
   let rng = Sim.rng sim in
   let total = Sim.num_qubits sim in
-  let code2 = Lazy.force level2 in
-  let d1 = Lazy.force css_decoder_l1 in
+  let code2 = Mc.Once.force level2 in
+  let d1 = Mc.Once.force css_decoder_l1 in
   (* inner recovery per block: generators 6b .. 6b+5 *)
   for b = 0 to 6 do
     let s = Bitvec.create 6 in
@@ -246,7 +246,7 @@ let one_trial ~noise ~level rng t =
     if plus_basis then Sim.ideal_measure_logical_x sim steane ~offset:0
     else Sim.ideal_measure_logical_z sim steane ~offset:0
   | 2 ->
-    let code2 = Lazy.force level2 in
+    let code2 = Mc.Once.force level2 in
     let sim = Sim.create ~n:(49 + scratch_qubits) ~noise rng in
     project_eigenstate (Sim.tableau sim) ~total:(49 + scratch_qubits)
       ~plus_basis code2 ~offset:0;

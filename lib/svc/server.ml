@@ -1,6 +1,7 @@
-(* Threading model: connection handlers and workers are systhreads
-   (they block on sockets and the job queue); the actual parallelism
-   lives inside each job, where Mc.Runner fans trials out over OCaml 5
+(* Threading model: connection handlers, workers and the progress
+   clock are systhreads (they block on sockets, the job queue, job
+   conditions and the clock's pipe); the actual parallelism lives
+   inside each job, where Mc.Runner fans trials out over OCaml 5
    domains (Domain.join releases the runtime lock, so other threads
    keep serving).  *)
 
@@ -19,6 +20,10 @@ let config ?(max_queue = 32) ?(workers = 2) ?(cache_capacity = 128) ?domains
     ?(progress_interval = 1.0) ?fleet ?(limit = Qos.unlimited) ~socket () =
   if max_queue < 1 then invalid_arg "Server.config: max_queue must be >= 1";
   if workers < 1 then invalid_arg "Server.config: workers must be >= 1";
+  (* a waiter sends a frame each time its deadline passes: a zero
+     interval would stream frames back to back *)
+  if not (progress_interval > 0.0) then
+    invalid_arg "Server.config: progress_interval must be > 0";
   { socket; max_queue; workers; cache_capacity; domains; progress_interval;
     fleet; limit }
 
@@ -56,7 +61,25 @@ type job = {
   tenant : string;  (* admitting tenant (coalesced joiners may differ) *)
   started : float;  (* admission time *)
   jlock : Mutex.t;
+  changed : Condition.t;
+      (* broadcast under [jlock] when the state changes, and by the
+         progress clock when a waiter's next frame is due *)
   mutable state : job_state;
+}
+
+(* The progress clock: one thread per daemon that wakes each waiter
+   when its next progress frame is due.  A waiter pushes
+   [(now + progress_interval, job)] with [now] read under [lock], so
+   the FIFO is in deadline order and the clock only looks at its head.
+   The clock sleeps in [Unix.select] on [wake_r] until the head's
+   deadline (unbounded when nothing is pending); a push into an empty
+   FIFO, and the stop, write one byte to [wake_w]. *)
+type progress_clock = {
+  lock : Mutex.t;
+  due : (float * job) Queue.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;  (* non-blocking *)
+  mutable stopped : bool;
 }
 
 type t = {
@@ -72,6 +95,7 @@ type t = {
   busy : int Atomic.t;  (* workers currently executing *)
   mutable conns : (Thread.t * Unix.file_descr) list;  (* under [clock] *)
   clock : Mutex.t;
+  progress : progress_clock;
 }
 
 (* ------------------------------------------------- request tracing *)
@@ -102,10 +126,80 @@ let job_state j =
   Mutex.unlock j.jlock;
   s
 
+let wake_waiters j =
+  Mutex.lock j.jlock;
+  Condition.broadcast j.changed;
+  Mutex.unlock j.jlock
+
 let set_job_state j s =
   Mutex.lock j.jlock;
   j.state <- s;
+  Condition.broadcast j.changed;
   Mutex.unlock j.jlock
+
+(* --------------------------------------------------- progress clock *)
+
+let clock_create () =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_w;
+  { lock = Mutex.create (); due = Queue.create (); wake_r; wake_w;
+    stopped = false }
+
+(* Under [c.lock].  A full pipe already holds a pending wake-up. *)
+let clock_wake c =
+  try ignore (Unix.single_write_substring c.wake_w "x" 0 1)
+  with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+
+(* [clock_schedule c job dt] — have the clock wake [job]'s waiters [dt]
+   seconds from now, and return that deadline. *)
+let clock_schedule c job dt =
+  Mutex.lock c.lock;
+  let deadline = Obs.now () +. dt in
+  if Queue.is_empty c.due && not c.stopped then clock_wake c;
+  Queue.push (deadline, job) c.due;
+  Mutex.unlock c.lock;
+  deadline
+
+let clock_run c =
+  let buf = Bytes.create 64 in
+  let rec loop () =
+    Mutex.lock c.lock;
+    let now = Obs.now () in
+    let rec pop_due acc =
+      match Queue.peek_opt c.due with
+      | Some (deadline, job) when deadline <= now ->
+        ignore (Queue.pop c.due);
+        pop_due (job :: acc)
+      | _ -> acc
+    in
+    let fired = pop_due [] in
+    let timeout =
+      match Queue.peek_opt c.due with
+      | Some (deadline, _) -> deadline -. now
+      | None -> -1.0 (* unbounded *)
+    in
+    let stopped = c.stopped in
+    Mutex.unlock c.lock;
+    List.iter wake_waiters fired;
+    if not stopped then begin
+      (match Unix.select [ c.wake_r ] [] [] timeout with
+      | [], _, _ -> ()
+      | _ :: _, _, _ -> ignore (Unix.read c.wake_r buf 0 (Bytes.length buf))
+      | exception Unix.Unix_error (EINTR, _, _) -> ());
+      loop ()
+    end
+  in
+  loop ()
+
+(* Stop the clock running on thread [th], join it and close its pipe. *)
+let clock_stop c th =
+  Mutex.lock c.lock;
+  c.stopped <- true;
+  clock_wake c;
+  Mutex.unlock c.lock;
+  Thread.join th;
+  Unix.close c.wake_r;
+  Unix.close c.wake_w
 
 (* ---------------------------------------------------------- workers *)
 
@@ -185,14 +279,28 @@ let finish_request t fd ~key ~khash ~est_name ~t0 ~cached ~coalesced payload =
       send fd (Protocol.meta_frame ~cached ~coalesced ~wall_s:wall);
       send fd (Protocol.result_frame ~key payload))
 
-(* Wait for [job] to finish, streaming progress frames.  Polling (with
-   a short sleep) instead of a condition: OCaml's Condition.wait has
-   no timeout, and we need to wake up for the progress cadence and for
-   daemon shutdown anyway. *)
+(* Wait for [job] to finish, streaming progress frames.  The waiter
+   blocks on the job's condition.  The worker broadcasts it when the
+   job ends, so the reply leaves at once; the progress clock
+   broadcasts it when this waiter's next frame is due, one
+   [progress_interval] after the wait began or after its previous
+   frame.  Coalesced joiners wait on the same condition, each with its
+   own deadline.  No wake-up is needed at shutdown: the drain joins
+   the workers, which finish every job first. *)
 let await_job t fd ~coalesced ~t0 job =
-  let last_progress = ref (Obs.now ()) in
-  let rec loop () =
-    match job_state job with
+  let interval = t.cfg.progress_interval in
+  let rec loop deadline =
+    Mutex.lock job.jlock;
+    let rec next () =
+      match job.state with
+      | (Queued | Running) when Obs.now () < deadline ->
+        Condition.wait job.changed job.jlock;
+        next ()
+      | state -> state
+    in
+    let state = next () in
+    Mutex.unlock job.jlock;
+    match state with
     | Finished (Ok payload) ->
       finish_request t fd ~key:job.key ~khash:job.khash
         ~est_name:(Protocol.estimator_name job.est) ~t0 ~cached:false
@@ -200,30 +308,22 @@ let await_job t fd ~coalesced ~t0 job =
     | Finished (Error msg) ->
       send fd (Protocol.error_frame ~code:"failed" ~message:msg ())
     | Queued | Running ->
-      let now = Obs.now () in
-      if now -. !last_progress >= t.cfg.progress_interval then begin
-        last_progress := now;
-        let state =
-          match job_state job with Running -> "running" | _ -> "queued"
-        in
-        (* sample the runner's own completion for this job (reporters
-           are scoped by request hash); every waiter — primary and
-           coalesced joiners alike — gets the enriched frame *)
-        let completed, total, phase =
-          match job_progress job.khash with
-          | Some v -> (Some v.v_done, Some v.v_total, Some v.v_label)
-          | None -> (None, None, None)
-        in
-        send fd
-          (Protocol.progress_frame ?completed ?total ?phase ~key:job.key
-             ~state
-             ~elapsed_s:(now -. job.started)
-             ())
-      end;
-      Thread.delay 0.02;
-      loop ()
+      (* sample the runner's own completion for this job (reporters
+         are scoped by request hash); every waiter — primary and
+         coalesced joiners alike — gets the enriched frame *)
+      let completed, total, phase =
+        match job_progress job.khash with
+        | Some v -> (Some v.v_done, Some v.v_total, Some v.v_label)
+        | None -> (None, None, None)
+      in
+      send fd
+        (Protocol.progress_frame ?completed ?total ?phase ~key:job.key
+           ~state:(match state with Running -> "running" | _ -> "queued")
+           ~elapsed_s:(Obs.now () -. job.started)
+           ());
+      loop (clock_schedule t.progress job interval)
   in
-  loop ()
+  loop (clock_schedule t.progress job interval)
 
 let handle_run t fd ~tenant ~high est =
   let req = Protocol.Run est in
@@ -288,6 +388,7 @@ let handle_run t fd ~tenant ~high est =
               tenant;
               started = t0;
               jlock = Mutex.create ();
+              changed = Condition.create ();
               state = Queued;
             }
           in
@@ -508,8 +609,10 @@ let run ?(obs = Obs.create ()) cfg =
       busy = Atomic.make 0;
       conns = [];
       clock = Mutex.create ();
+      progress = clock_create ();
     }
   in
+  let progress_th = Thread.create clock_run t.progress in
   (* Publish mode: runner progress reporters register (silently) so
      await_job/handle_status can sample in-flight completion.  The
      previous value is restored on exit — the daemon may be embedded
@@ -519,6 +622,7 @@ let run ?(obs = Obs.create ()) cfg =
   Fun.protect
     ~finally:(fun () ->
       Obs.Progress.set_publish prev_publish;
+      clock_stop t.progress progress_th;
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       try Unix.unlink cfg.socket with Unix.Unix_error _ -> ())
     (fun () ->

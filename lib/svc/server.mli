@@ -4,15 +4,19 @@
     Request lifecycle: a connection thread parses one [ftqc-rpc/1]
     request, consults the LRU {!Cache} (hit → immediate byte-identical
     reply), otherwise coalesces onto an in-flight job with the same
-    canonical key or enqueues a new one on the bounded {!Jobq}
+    canonical key or enqueues a new one on the bounded {!Qos} queue
     (overflow → structured [overloaded] error).  A pool of worker
     threads drains the queue, driving {!Mc.Runner}-based estimators —
     whose counts are domain-count-invariant, so a cached, coalesced or
     fresh reply to the same canonical request (seed included) carries
-    bit-identical failure counts.  While a job runs, waiting
-    connections stream periodic [progress] frames; completion sends a
-    [meta] frame (cache/coalescing flags, wall time) and then the
-    deterministic [result] frame.
+    bit-identical failure counts.  Each waiting connection, primary or
+    coalesced joiner, blocks on its job's condition variable.  The
+    worker broadcasts it when the job ends, so the reply leaves at
+    once: a [meta] frame (cache/coalescing flags, wall time), then the
+    deterministic [result] frame.  Until then one progress clock per
+    daemon wakes each waiter every [progress_interval], the first time
+    one interval after its wait began, to send a [progress] frame with
+    the runner's live completion.
 
     Telemetry: the handle passed to {!run} (or a fresh live one)
     accumulates [svc.*] series — request/hit/miss/coalesced/overloaded
@@ -24,7 +28,8 @@
     [Mc.Campaign.install_signal_handlers] (or a [shutdown] request,
     or {!Mc.Campaign.request_stop}) raises the stop flag; the accept
     loop notices, drains queued jobs, joins the workers, closes every
-    connection and removes the socket file. *)
+    connection, stops the progress clock and removes the socket
+    file. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)
@@ -34,7 +39,8 @@ type config = {
   domains : int option;
       (** [?domains] forwarded to {!Mc.Runner} (None = engine default);
           counts do not depend on it *)
-  progress_interval : float;  (** seconds between progress frames *)
+  progress_interval : float;
+      (** seconds between progress frames (> 0) *)
   fleet : Fleet.config option;
       (** [Some cfg] shards jobs over a multi-process {!Fleet};
           [None] executes in-process *)

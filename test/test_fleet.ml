@@ -419,6 +419,122 @@ let test_server_fleet_status () =
         check "re-dispatch visible in status" true
           (geti "redispatched" >= 1))
 
+(* ------------------------------------------- golden service bytes *)
+
+(* Golden service bytes, stored in golden/svc-frames.json: for each
+   request below (every estimator kind, on the engines the daemon
+   serves it with) its canonical string, which is the cache and
+   coalescing key, that string's hash and the bytes of its result
+   frame.  A direct run, an in-process daemon and a 2-worker fleet
+   must each reproduce all three. *)
+
+let golden_file = "golden/svc-frames.json"
+
+let golden_cases : (string * Protocol.estimator) list =
+  let rare = `Rare { Protocol.max_weight = 2; samples_per_class = 200 } in
+  [ ( "steane_memory scalar",
+      Steane_memory
+        { level = 1; eps = 0.05; rounds = 1; trials = 200; seed = 41;
+          engine = `Scalar; tile_width = 64 } );
+    ( "steane_memory batch",
+      Steane_memory
+        { level = 2; eps = 0.05; rounds = 1; trials = 1000; seed = 42;
+          engine = `Batch; tile_width = 64 } );
+    ( "steane_memory rare",
+      Steane_memory
+        { level = 1; eps = 0.05; rounds = 1; trials = 200; seed = 43;
+          engine = rare; tile_width = 64 } );
+    ( "toric_memory scalar",
+      Toric_memory
+        { l = 4; p = 0.05; trials = 300; seed = 44; engine = `Scalar;
+          tile_width = 64 } );
+    ( "toric_memory batch",
+      Toric_memory
+        { l = 5; p = 0.05; trials = 1000; seed = 45; engine = `Batch;
+          tile_width = 128 } );
+    ( "toric_memory rare",
+      Toric_memory
+        { l = 3; p = 0.01; trials = 200; seed = 46; engine = rare;
+          tile_width = 64 } );
+    ( "toric_scan batch",
+      Toric_scan
+        { ls = [ 3; 5 ]; ps = [ 0.03; 0.08 ]; trials = 300; seed = 47;
+          engine = `Batch; tile_width = 64 } );
+    ( "toric_noisy batch",
+      Toric_noisy
+        { l = 3; rounds = 3; p = 0.02; q = 0.02; trials = 300; seed = 48;
+          engine = `Batch; tile_width = 64 } );
+    ( "toric_circuit scalar",
+      Toric_circuit
+        { l = 3; rounds = 2; eps = 0.03; trials = 40; seed = 49;
+          engine = `Scalar } );
+    ( "css_memory batch",
+      Css_memory
+        { code = "golay23"; eps = 0.05; rounds = 2; trials = 1000; seed = 50;
+          engine = `Batch; tile_width = 128 } );
+    ( "pseudothreshold",
+      Pseudothreshold { eps_list = [ 0.02; 0.04 ]; trials = 30; seed = 51 } ) ]
+
+(* name -> (canonical, hash, result frame) *)
+let golden_frames () =
+  match Json.read_file golden_file with
+  | Error m -> Alcotest.failf "%s: %s" golden_file m
+  | Ok json -> (
+    match Json.member "frames" json with
+    | Some (Json.Obj kvs) ->
+      List.map
+        (fun (name, v) ->
+          let field k =
+            match Option.bind (Json.member k v) Json.to_string_opt with
+            | Some s -> s
+            | None -> Alcotest.failf "%s: %s has no %s" golden_file name k
+          in
+          (name, (field "canonical", field "hash", field "result")))
+        kvs
+    | _ -> Alcotest.failf "%s: no frames object" golden_file)
+
+(* [check_golden source result] — [result est] is [source]'s result
+   frame bytes for [est] *)
+let check_golden source result =
+  let expected = golden_frames () in
+  Alcotest.(check (list string))
+    "golden keys" (List.map fst golden_cases) (List.map fst expected);
+  List.iter
+    (fun (name, est) ->
+      let canonical, hash, frame = List.assoc name expected in
+      check_str (name ^ " canonical form") canonical
+        (Protocol.to_canonical (Run est));
+      check_str (name ^ " cache key") hash (Protocol.hash (Run est));
+      check_str
+        (Printf.sprintf "%s result frame (%s)" name source)
+        frame (result est))
+    golden_cases
+
+let test_golden_direct () =
+  check_golden "direct" (fun est ->
+      Svc.Codec.encode
+        (Protocol.result_frame
+           ~key:(Protocol.to_canonical (Run est))
+           (Svc.Exec.execute ~domains:2 est)))
+
+let served_result socket est = (Test_svc.request_ok socket est).raw_result
+
+let test_golden_in_process () =
+  with_server (fun socket ->
+      check_golden "in-process daemon" (served_result socket))
+
+let test_golden_fleet () =
+  with_server ~fleet:(Svc.Fleet.config ~domains:1 ~size:2 ()) (fun socket ->
+      check_golden "2-worker fleet" (served_result socket))
+
+(* a fleet reply leaves when its job ends, as an in-process one does *)
+let test_fleet_cold_replies_not_quantised () =
+  with_server ~fleet:(Svc.Fleet.config ~domains:1 ~size:2 ()) (fun socket ->
+      let m = Test_svc.cold_wall_median socket in
+      check
+        (Printf.sprintf "median cold fleet server wall %.4f s is under 10 ms" m)
+        true (m < 0.010))
+
 (* ------------------------------------------------ client retry *)
 
 let test_rate_limit_and_retry () =
@@ -539,9 +655,17 @@ let suites =
           test_fleet_byte_identity;
         Alcotest.test_case "served fleet result and status" `Slow
           test_server_fleet_status;
+        Alcotest.test_case "cold fleet replies are not quantised" `Slow
+          test_fleet_cold_replies_not_quantised;
         Alcotest.test_case "rate limit sheds, client retries" `Slow
           test_rate_limit_and_retry;
         Alcotest.test_case "retry schedule is deterministic" `Quick
           test_retry_schedule_deterministic;
+      ] );
+    ( "svc-golden",
+      [
+        Alcotest.test_case "direct execution" `Quick test_golden_direct;
+        Alcotest.test_case "in-process daemon" `Quick test_golden_in_process;
+        Alcotest.test_case "2-worker fleet" `Slow test_golden_fleet;
       ] );
   ]

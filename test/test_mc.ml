@@ -213,6 +213,60 @@ let test_early_stop_domain_invariant () =
   check "actually stopped early" true (a.trials < 50_000);
   check "target reached" true (Mc.Stats.half_width a <= 0.02)
 
+(* --- Mc.Once ---------------------------------------------------------- *)
+
+(* Six systhreads and two domains force one cell whose build sleeps,
+   so the later callers all arrive while the build is still running
+   (where a [Lazy.t] raises [CamlinternalLazy.Undefined]).  The build
+   must run once and every caller must get the same physical value. *)
+let test_once_concurrent_first_use () =
+  let builds = Atomic.make 0 in
+  let cell =
+    Mc.Once.make (fun () ->
+        Atomic.incr builds;
+        Thread.delay 0.05;
+        ref 0)
+  in
+  let go = Atomic.make false in
+  let force () =
+    while not (Atomic.get go) do
+      Thread.yield ()
+    done;
+    Mc.Once.force cell
+  in
+  let got = Array.make 6 None in
+  let threads =
+    List.init 6 (fun i ->
+        Thread.create (fun () -> got.(i) <- Some (force ())) ())
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn force) in
+  Atomic.set go true;
+  List.iter Thread.join threads;
+  let values =
+    List.map Domain.join domains
+    @ List.map
+        (function Some v -> v | None -> Alcotest.fail "thread got no value")
+        (Array.to_list got)
+  in
+  Alcotest.(check int) "one build" 1 (Atomic.get builds);
+  check "every caller got the one built value" true
+    (List.for_all (fun v -> v == Mc.Once.force cell) values)
+
+(* A build that raises leaves the cell empty: the next force retries. *)
+let test_once_failed_build_retries () =
+  let attempts = ref 0 in
+  let cell =
+    Mc.Once.make (fun () ->
+        incr attempts;
+        if !attempts = 1 then failwith "first build fails";
+        !attempts)
+  in
+  check "the failing build raises" true
+    (match Mc.Once.force cell with _ -> false | exception Failure _ -> true);
+  Alcotest.(check int) "the retry builds" 2 (Mc.Once.force cell);
+  Alcotest.(check int) "and is kept" 2 (Mc.Once.force cell);
+  Alcotest.(check int) "two builds in all" 2 !attempts
+
 let suites =
   [ ( "mc.rng",
       [ Alcotest.test_case "reproducible" `Quick test_rng_reproducible;
@@ -240,4 +294,9 @@ let suites =
         Alcotest.test_case "tight target exhausts" `Quick
           test_early_stop_exhausts_on_tight_target;
         Alcotest.test_case "domain invariant" `Quick
-          test_early_stop_domain_invariant ] ) ]
+          test_early_stop_domain_invariant ] );
+    ( "mc.once",
+      [ Alcotest.test_case "concurrent first use" `Quick
+          test_once_concurrent_first_use;
+        Alcotest.test_case "failed build retries" `Quick
+          test_once_failed_build_retries ] ) ]

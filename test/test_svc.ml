@@ -390,19 +390,12 @@ let fresh_socket_path () =
   Sys.remove f;
   f
 
-(* An in-process daemon on a temp socket; the campaign stop flag is
-   the shutdown path, exactly as in the real ftqcd. *)
-let with_server ?(workers = 2) ?(max_queue = 8) f =
-  Mc.Campaign.reset_stop ();
-  let socket = fresh_socket_path () in
-  let cfg =
-    Svc.Server.config ~workers ~max_queue ~cache_capacity:8 ~domains:2
-      ~progress_interval:0.05 ~socket ()
-  in
-  let obs = Obs.create () in
-  let th = Thread.create (fun () -> Svc.Server.run ~obs cfg) () in
+(* [start_server cfg] — run a daemon for [cfg] on a new thread, and
+   return that thread once the socket exists. *)
+let start_server ?obs (cfg : Svc.Server.config) =
+  let th = Thread.create (fun () -> Svc.Server.run ?obs cfg) () in
   let rec wait n =
-    if Sys.file_exists socket then ()
+    if Sys.file_exists cfg.socket then ()
     else if n = 0 then Alcotest.fail "server did not start"
     else begin
       Thread.delay 0.02;
@@ -410,6 +403,19 @@ let with_server ?(workers = 2) ?(max_queue = 8) f =
     end
   in
   wait 250;
+  th
+
+(* An in-process daemon on a temp socket; the campaign stop flag is
+   the shutdown path, exactly as in the real ftqcd. *)
+let with_server ?(workers = 2) ?(max_queue = 8) ?(progress_interval = 0.05)
+    f =
+  Mc.Campaign.reset_stop ();
+  let socket = fresh_socket_path () in
+  let cfg =
+    Svc.Server.config ~workers ~max_queue ~cache_capacity:8 ~domains:2
+      ~progress_interval ~socket ()
+  in
+  let th = start_server ~obs:(Obs.create ()) cfg in
   Fun.protect
     ~finally:(fun () ->
       Mc.Campaign.request_stop ();
@@ -700,6 +706,119 @@ let test_progress_completion_streams () =
           b.raw_result
       | _ -> Alcotest.fail "requests did not complete")
 
+(* ---------------------------------------------- event-driven waits *)
+
+(* [cold_wall_median socket] — the median server wall time of 7 fresh
+   tiny requests (toric L3, p = 0.01, 64 trials, distinct seeds).
+   Each computes for well under a millisecond, so a waiter that polled
+   would round every reply up to its tick. *)
+let cold_wall_median socket =
+  let walls =
+    List.init 7 (fun i ->
+        let est = toric_est ~l:3 ~p:0.01 ~trials:64 ~seed:(900 + i) () in
+        let o = request_ok socket est in
+        check "fresh request is not cached" false o.cached;
+        o.server_wall_s)
+  in
+  List.nth (List.sort compare walls) 3
+
+let test_cold_replies_not_quantised () =
+  with_server (fun socket ->
+      let m = cold_wall_median socket in
+      check
+        (Printf.sprintf "median cold server wall %.4f s is under 10 ms" m)
+        true (m < 0.010))
+
+(* [held_pair socket est ~hold ~on_progress] — a primary request for
+   [est] and one coalesced joiner, with the job held until [hold ()]
+   returns.  Waiter [i] (0 primary, 1 joiner) gets [on_progress i] as
+   its progress callback.  Returns the [Obs.now] of the release and
+   each waiter's reply time. *)
+let held_pair socket est ~hold ~on_progress =
+  let replied = Array.make 2 Float.infinity in
+  let waiter i =
+    Thread.create
+      (fun () ->
+        ignore (request_ok ~on_progress:(on_progress i) socket est);
+        replied.(i) <- Obs.now ())
+      ()
+  in
+  holding est (fun release ->
+      let primary = waiter 0 in
+      await_states socket [ "running" ];
+      let joiner = waiter 1 in
+      await "the join" (fun () -> coalesced_count socket = 1);
+      hold ();
+      let released = Obs.now () in
+      release ();
+      Thread.join primary;
+      Thread.join joiner;
+      (released, replied))
+
+(* At a 5 s interval no progress frame falls due while the job is
+   held, so only the job's completion can wake its two waiters. *)
+let test_completion_wakes_joiners () =
+  with_server ~workers:1 ~progress_interval:5.0 (fun socket ->
+      let released, replied =
+        held_pair socket (toric_est ~seed:63 ()) ~hold:ignore
+          ~on_progress:(fun _ _ -> ())
+      in
+      Array.iteri
+        (fun i at ->
+          check
+            (Printf.sprintf "waiter %d replied %.3f s after release (< 1 s)" i
+               (at -. released))
+            true
+            (at -. released < 1.0))
+        replied)
+
+(* Each waiter gets its frames one interval apart (the server-side
+   [elapsed_s] of consecutive frames), primary and joiner alike. *)
+let test_progress_cadence () =
+  with_server ~workers:1 ~progress_interval:0.05 (fun socket ->
+      let elapsed = Array.make 2 [] in
+      ignore
+        (held_pair socket (toric_est ~seed:65 ())
+           ~hold:(fun () -> Thread.delay 0.4)
+           ~on_progress:(fun i (p : Svc.Client.progress) ->
+             elapsed.(i) <- p.p_elapsed_s :: elapsed.(i)));
+      Array.iteri
+        (fun i frames ->
+          check
+            (Printf.sprintf "waiter %d got %d progress frames (>= 3)" i
+               (List.length frames))
+            true
+            (List.length frames >= 3);
+          let rec gaps = function
+            | a :: (b :: _ as tl) -> (a -. b) :: gaps tl
+            | _ -> []
+          in
+          List.iter
+            (fun g ->
+              check
+                (Printf.sprintf "waiter %d frames %.4f s apart (>= 0.045 s)" i
+                   g)
+                true (g >= 0.045))
+            (gaps frames))
+        elapsed)
+
+(* With the default 1 s interval, a finished request leaves its first
+   progress deadline pending on the clock; the stop must not wait for
+   it. *)
+let test_stop_is_prompt () =
+  Mc.Campaign.reset_stop ();
+  let socket = fresh_socket_path () in
+  let th = start_server (Svc.Server.config ~socket ()) in
+  ignore (request_ok socket (toric_est ~l:3 ~p:0.01 ~trials:64 ~seed:67 ()));
+  let stop = Obs.now () in
+  Mc.Campaign.request_stop ();
+  Thread.join th;
+  let took = Obs.now () -. stop in
+  Mc.Campaign.reset_stop ();
+  check
+    (Printf.sprintf "Server.run returned %.3f s after the stop (< 0.5 s)" took)
+    true (took < 0.5)
+
 (* the extended status frame: worker utilization and the in-flight job
    table, live while a request runs *)
 let test_status_inflight_jobs () =
@@ -768,12 +887,7 @@ let test_shutdown_request () =
      daemon and remove the socket *)
   Mc.Campaign.reset_stop ();
   let socket = fresh_socket_path () in
-  let cfg = Svc.Server.config ~socket () in
-  let th = Thread.create (fun () -> Svc.Server.run cfg) () in
-  let rec wait n =
-    if Sys.file_exists socket || n = 0 then () else (Thread.delay 0.02; wait (n - 1))
-  in
-  wait 250;
+  let th = start_server (Svc.Server.config ~socket ()) in
   (match Svc.Client.with_connection ~socket Svc.Client.shutdown with
   | Ok (Ok ()) -> ()
   | Ok (Error e) -> Alcotest.failf "shutdown failed: %s" e.message
@@ -814,6 +928,13 @@ let suites =
         Alcotest.test_case "status metrics" `Quick test_status_and_metrics;
         Alcotest.test_case "progress completion streams" `Slow
           test_progress_completion_streams;
+        Alcotest.test_case "cold replies are not quantised" `Quick
+          test_cold_replies_not_quantised;
+        Alcotest.test_case "completion wakes joiners" `Quick
+          test_completion_wakes_joiners;
+        Alcotest.test_case "progress cadence is kept" `Quick
+          test_progress_cadence;
+        Alcotest.test_case "stop is prompt" `Quick test_stop_is_prompt;
         Alcotest.test_case "status lists in-flight jobs" `Slow
           test_status_inflight_jobs;
         Alcotest.test_case "tracing is byte-neutral" `Quick
