@@ -106,8 +106,12 @@ let compile (t : Kit.t) =
 
 let parity_sel (x : int64 array) (z : int64 array) (c : Program.check) =
   let acc = ref 0L in
-  Array.iter (fun q -> acc := Int64.logxor !acc x.(q)) c.Program.x_sel;
-  Array.iter (fun q -> acc := Int64.logxor !acc z.(q)) c.Program.z_sel;
+  for i = 0 to Array.length c.x_sel - 1 do
+    acc := Int64.logxor !acc x.(c.x_sel.(i))
+  done;
+  for i = 0 to Array.length c.z_sel - 1 do
+    acc := Int64.logxor !acc z.(c.z_sel.(i))
+  done;
   !acc
 
 type worker = {

@@ -76,9 +76,9 @@ let get_z ?(lane = 0) t q =
 
 let parity_lane rows lanes lane qubits =
   let acc = ref 0L in
-  Array.iter
-    (fun q -> acc := Int64.logxor !acc rows.((q * lanes) + lane))
-    qubits;
+  for i = 0 to Array.length qubits - 1 do
+    acc := Int64.logxor !acc rows.((qubits.(i) * lanes) + lane)
+  done;
   !acc
 
 let parity_x ?(lane = 0) t qubits =
@@ -110,8 +110,8 @@ let parity_check_into t ~x_sel ~z_sel dst off =
   done
 
 (* Noise injection over compiled plans (see Sampler): one bulk
-   sampling call XORs fresh fault words into every selected qubit of
-   every lane — bit-identical to the per-qubit row calls it fuses. *)
+   sampling call per lane XORs fresh fault words into every selected
+   qubit. *)
 let flip_x_plan t sampler ~qubits pl =
   Sampler.bernoulli_plan_xor_sel sampler pl t.x ~sel:qubits ~stride:t.lanes
 
@@ -119,16 +119,8 @@ let flip_z_plan t sampler ~qubits pl =
   Sampler.bernoulli_plan_xor_sel sampler pl t.z ~sel:qubits ~stride:t.lanes
 
 let depolarize_plan t sampler ~qubits pp =
-  let l = t.lanes in
-  Array.iter
-    (fun q -> Sampler.pauli_plan_xor sampler pp ~x:t.x ~z:t.z (q * l))
-    qubits
-
-let depolarize t sampler ~qubits ~px ~py ~pz =
-  depolarize_plan t sampler ~qubits (Sampler.pauli_plan ~px ~py ~pz)
-
-let flip_x t sampler ~qubits ~p = flip_x_plan t sampler ~qubits (Sampler.plan p)
-let flip_z t sampler ~qubits ~p = flip_z_plan t sampler ~qubits (Sampler.plan p)
+  Sampler.pauli_plan_xor_sel sampler pp ~x:t.x ~z:t.z ~sel:qubits
+    ~stride:t.lanes
 
 let blit_x t dst off = Array.blit t.x 0 dst off (t.n * t.lanes)
 let blit_z t dst off = Array.blit t.z 0 dst off (t.n * t.lanes)
@@ -162,12 +154,22 @@ let load_shot words k v =
       words.(i) <- (if Bitvec.get v i then Int64.logor w m else w))
     words
 
-(* In-place 64x64 bit-matrix transpose of a.(off .. off+63), LSB-first
-   column convention: afterwards bit i of a.(off + k) is what bit k of
-   a.(off + i) was.  Recursive block swap (Hacker's Delight 7-3
+(* The 64x64 transpose runs on a 512-byte scratch: an [int64 array]
+   holds boxed words, so each of the network's stores would allocate,
+   while these primitives read and write raw 64-bit words.  The
+   scratch is allocated per call, never shared: kernels run on several
+   domains at once. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let scratch () = Bytes.create 512
+
+(* In-place 64x64 bit-matrix transpose of the scratch's 64 words,
+   LSB-first column convention: afterwards bit i of word k is what bit
+   k of word i was.  Recursive block swap (Hacker's Delight 7-3
    adapted to LSB-first): at each level j, swap the off-diagonal j x j
    sub-blocks of every aligned 2j x 2j block. *)
-let transpose64 a off =
+let transpose_scratch b =
   let j = ref 32 in
   let m = ref 0xFFFFFFFFL in
   while !j <> 0 do
@@ -175,15 +177,25 @@ let transpose64 a off =
     let k = ref 0 in
     while !k < 64 do
       let kk = !k in
-      let x = a.(off + kk) and y = a.(off + kk + jj) in
+      let x = get64 b (8 * kk) and y = get64 b (8 * (kk + jj)) in
       let t = Int64.logand (Int64.logxor (Int64.shift_right_logical x jj) y) mm in
-      a.(off + kk) <- Int64.logxor x (Int64.shift_left t jj);
-      a.(off + kk + jj) <- Int64.logxor y t;
+      set64 b (8 * kk) (Int64.logxor x (Int64.shift_left t jj));
+      set64 b (8 * (kk + jj)) (Int64.logxor y t);
       k := (kk + jj + 1) land lnot jj
     done;
     let j' = jj lsr 1 in
     j := j';
     if j' > 0 then m := Int64.logxor mm (Int64.shift_left mm j')
+  done
+
+let transpose64 a off =
+  let b = scratch () in
+  for i = 0 to 63 do
+    set64 b (8 * i) a.(off + i)
+  done;
+  transpose_scratch b;
+  for i = 0 to 63 do
+    a.(off + i) <- get64 b (8 * i)
   done
 
 (* Tile-at-a-time shot extraction: gather rows [pos, pos + nrows) of
@@ -197,14 +209,17 @@ let transpose_rows ~src ~lanes ~lane ~pos ~nrows dst =
   let nblocks = (nrows + 63) / 64 in
   if Array.length dst < nblocks * 64 then
     invalid_arg "Frame.Plane.transpose_rows: dst too small";
+  let b = scratch () in
   for d = 0 to nblocks - 1 do
     let base = d * 64 in
     for i = 0 to 63 do
       let r = base + i in
-      dst.(base + i) <-
-        (if r < nrows then src.(((pos + r) * lanes) + lane) else 0L)
+      set64 b (8 * i) (if r < nrows then src.(((pos + r) * lanes) + lane) else 0L)
     done;
-    transpose64 dst base
+    transpose_scratch b;
+    for i = 0 to 63 do
+      dst.(base + i) <- get64 b (8 * i)
+    done
   done
 
 (* [shot_of_transposed dst ~len k] — shot [k]'s bitstring from a

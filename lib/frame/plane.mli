@@ -48,14 +48,9 @@ val parity_z : ?lane:int -> t -> int array -> int64
 val parity_check_into :
   t -> x_sel:int array -> z_sel:int array -> int64 array -> int -> unit
 
-(** Word-sampled noise injection across all lanes (see {!Sampler}). *)
-val depolarize :
-  t -> Sampler.t -> qubits:int array -> px:float -> py:float -> pz:float -> unit
-
-val flip_x : t -> Sampler.t -> qubits:int array -> p:float -> unit
-val flip_z : t -> Sampler.t -> qubits:int array -> p:float -> unit
-
-(** Plan-compiled variants (the hot path of compiled programs). *)
+(** Word-sampled noise injection across all lanes over compiled
+    {!Sampler} plans (the hot path of compiled programs): every qubit
+    of [qubits], in order, gets one fresh fault word per lane. *)
 val depolarize_plan :
   t -> Sampler.t -> qubits:int array -> Sampler.pauli_plan -> unit
 
@@ -89,7 +84,9 @@ val load_shot : int64 array -> int -> Gf2.Bitvec.t -> unit
 
 (** [transpose64 a off] — in-place 64x64 bit-matrix transpose of
     [a.(off .. off + 63)], LSB-first: afterwards bit [i] of
-    [a.(off + k)] is what bit [k] of [a.(off + i)] was. *)
+    [a.(off + k)] is what bit [k] of [a.(off + i)] was.  The swap
+    network runs on an unboxed 512-byte scratch allocated per call
+    (likewise {!transpose_rows}), so only the 64 result stores box. *)
 val transpose64 : int64 array -> int -> unit
 
 (** [transpose_rows ~src ~lanes ~lane ~pos ~nrows dst] — tile-at-a-time

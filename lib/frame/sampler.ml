@@ -13,11 +13,13 @@
 
    Bernoulli(p) words come from the binary expansion of p: with
    p = 0.b1 b2 … (b1 most significant) and u1, u2, … independent
-   uniform words, fold from the least significant digit up,
-     acc ← if b then u lor acc else u land acc,
-   which maps Bernoulli(t) to Bernoulli((b + t)/2) per step.  p is
-   truncated to [digits] = 40 binary digits (absolute bias < 2^-40,
-   orders of magnitude below any Monte-Carlo resolution here). *)
+   uniform words, a bit reads 1 when the word V with digits ¬u1 ¬u2 …
+   is below p.  The comparison runs from the most significant digit
+   down and stops once every bit is decided (~7.3 draws per word
+   whatever p is; see [Mc.Rng.fold_digits]); the positions a call
+   accounts for are always p's full digit count.  p is truncated to
+   [digits] = 40 binary digits (absolute bias < 2^-40, orders of
+   magnitude below any Monte-Carlo resolution here). *)
 
 type t = { keys : Mc.Rng.key array; mutable pos : int }
 
@@ -38,18 +40,19 @@ let uniform t =
 let digits = 40
 
 (* A compiled Bernoulli(p) digit plan: the clamped fixed-point digits
-   of p and the lowest set digit (digits below it leave acc = 0 and
-   are skipped).  The draw count [digits - start] is a function of p
+   of p from the lowest set one up (digits below it cannot decide a
+   bit).  p <= 0 and p >= 1 are plans of zero draws, reading 0 and
+   all ones.  The draw count [digits - start] is a function of p
    alone, so replaying the same call sequence consumes the same
    positions whatever the lane count. *)
-type plan =
-  | Zero
-  | One
-  | Digits of { scaled : int64; start : int }
+type plan = Mc.Rng.plan
+
+let constant ones = { Mc.Rng.scaled = 0L; start = digits; ones }
 
 let plan p =
-  if p <= 0.0 then Zero
-  else if p >= 1.0 then One
+  if Float.is_nan p then invalid_arg "Frame.Sampler.plan: NaN probability";
+  if p <= 0.0 then constant 0L
+  else if p >= 1.0 then constant (-1L)
   else begin
     let scaled = Int64.of_float ((p *. 0x1p40) +. 0.5) in
     let scaled =
@@ -64,74 +67,36 @@ let plan p =
       in
       lowest 0
     in
-    Digits { scaled; start }
+    { scaled; start; ones = 0L }
   end
 
-let plan_draws = function Zero | One -> 0 | Digits { start; _ } -> digits - start
+let plan_draws (pl : plan) = digits - pl.start
 
-(* The digit fold for one lane, reading positions [pos, pos + draws)
-   of [key].  Delegated to the fused Rng primitive so the whole fold
-   runs without per-digit calls or boxing. *)
-let run_digits key pos scaled start =
-  Mc.Rng.fold_digits key ~pos ~scaled ~start ~stop:digits
-
-let run_plan key pos = function
-  | Zero -> 0L
-  | One -> -1L
-  | Digits { scaled; start } -> run_digits key pos scaled start
+(* One lane's plan word at [pos]. *)
+let word key pos (pl : plan) =
+  Int64.logor pl.ones
+    (Mc.Rng.fold_digits key ~pos ~scaled:pl.scaled ~start:pl.start ~stop:digits)
 
 let bernoulli_plan_into t pl dst off =
-  let l = Array.length t.keys in
-  (match pl with
-  | Zero -> Array.fill dst off l 0L
-  | One -> Array.fill dst off l (-1L)
-  | Digits { scaled; start } ->
-    let pos = t.pos in
-    for j = 0 to l - 1 do
-      dst.(off + j) <- run_digits t.keys.(j) pos scaled start
-    done);
+  for j = 0 to Array.length t.keys - 1 do
+    dst.(off + j) <- word t.keys.(j) t.pos pl
+  done;
   t.pos <- t.pos + plan_draws pl
 
-(* Whole-op noise injection: as calling [bernoulli_plan_xor] once per
-   row of [sel] (in order) against [dst] offsets [sel.(i) * stride],
-   but with the digit folds of each lane fused into one bulk Rng call
-   — the hot path of compiled [Flip_x]/[Flip_z] ops. *)
+(* Whole-op noise injection: one fresh word per row of [sel] (in order)
+   XORed into [dst] at [sel.(i) * stride], each lane's words in one
+   bulk Rng call — the hot path of compiled [Flip_x]/[Flip_z] ops. *)
 let bernoulli_plan_xor_sel t pl dst ~sel ~stride =
-  let l = Array.length t.keys in
-  let n = Array.length sel in
-  (match pl with
-  | Zero -> ()
-  | One ->
-    for i = 0 to n - 1 do
-      let r0 = sel.(i) * stride in
-      for j = 0 to l - 1 do
-        dst.(r0 + j) <- Int64.lognot dst.(r0 + j)
-      done
-    done
-  | Digits { scaled; start } ->
-    let pos = t.pos in
-    for j = 0 to l - 1 do
-      Mc.Rng.fold_digits_xor_sel t.keys.(j) ~pos ~scaled ~start ~stop:digits
-        ~rows:dst ~sel ~stride ~off:j
-    done);
-  t.pos <- t.pos + (plan_draws pl * n)
-
-let bernoulli_plan_xor t pl dst off =
-  let l = Array.length t.keys in
-  (match pl with
-  | Zero -> ()
-  | One -> for j = 0 to l - 1 do dst.(off + j) <- Int64.lognot dst.(off + j) done
-  | Digits { scaled; start } ->
-    let pos = t.pos in
-    for j = 0 to l - 1 do
-      dst.(off + j) <-
-        Int64.logxor dst.(off + j) (run_digits t.keys.(j) pos scaled start)
-    done);
-  t.pos <- t.pos + plan_draws pl
+  let pos = t.pos in
+  for j = 0 to Array.length t.keys - 1 do
+    Mc.Rng.fold_digits_xor_sel t.keys.(j) ~pos ~stop:digits pl ~rows:dst ~sel
+      ~stride ~off:j
+  done;
+  t.pos <- pos + (plan_draws pl * Array.length sel)
 
 let bernoulli t p =
   let pl = plan p in
-  let v = run_plan t.keys.(0) t.pos pl in
+  let v = word t.keys.(0) t.pos pl in
   t.pos <- t.pos + plan_draws pl;
   v
 
@@ -140,59 +105,27 @@ let bernoulli t p =
    component with probability (px+py)/(px+py+pz), and given an X
    component it is a Y with probability py/(px+py).  All three draws
    are bitwise independent, so the construction is exact per shot.
-   When px+py = 0 the conditional-Y probability is taken as 0, which
-   consumes no draws — identical to skipping the draw outright. *)
-type pauli_plan =
-  | P_id
-  | P_mix of { e : plan; hx : plan; y : plan }
+   The conditional words are folded only on the bits that read them
+   ([Mc.Rng.pauli_xor_sel]).  A channel with px+py+pz <= 0 has three
+   zero-draw zero plans, and one with px+py <= 0 a zero-draw zero
+   Y plan. *)
+type pauli_plan = { e : plan; hx : plan; y : plan }
 
 let pauli_plan ~px ~py ~pz =
   let pt = px +. py +. pz in
-  if pt <= 0.0 then P_id
+  if pt <= 0.0 then { e = constant 0L; hx = constant 0L; y = constant 0L }
   else
-    P_mix
-      {
-        e = plan pt;
-        hx = plan ((px +. py) /. pt);
-        y = (if px +. py <= 0.0 then Zero else plan (py /. (px +. py)));
-      }
+    {
+      e = plan pt;
+      hx = plan ((px +. py) /. pt);
+      y = (if px +. py <= 0.0 then constant 0L else plan (py /. (px +. py)));
+    }
 
-let combine_pauli e hx y =
-  let x = Int64.logand e hx in
-  let z =
-    Int64.logand e (Int64.logor (Int64.logand hx y) (Int64.lognot hx))
-  in
-  (x, z)
-
-let pauli_plan_xor t pp ~x ~z off =
-  match pp with
-  | P_id -> ()
-  | P_mix { e = pe; hx = ph; y = py_ } ->
-    let l = Array.length t.keys in
-    let pos = t.pos in
-    let de = plan_draws pe in
-    let dh = plan_draws ph in
-    for j = 0 to l - 1 do
-      let key = t.keys.(j) in
-      let e = run_plan key pos pe in
-      let hx = run_plan key (pos + de) ph in
-      let y = run_plan key (pos + de + dh) py_ in
-      let xw, zw = combine_pauli e hx y in
-      x.(off + j) <- Int64.logxor x.(off + j) xw;
-      z.(off + j) <- Int64.logxor z.(off + j) zw
-    done;
-    t.pos <- pos + de + dh + plan_draws py_
-
-let pauli t ~px ~py ~pz =
-  match pauli_plan ~px ~py ~pz with
-  | P_id -> (0L, 0L)
-  | P_mix { e = pe; hx = ph; y = py_ } ->
-    let key = t.keys.(0) in
-    let pos = t.pos in
-    let de = plan_draws pe in
-    let dh = plan_draws ph in
-    let e = run_plan key pos pe in
-    let hx = run_plan key (pos + de) ph in
-    let y = run_plan key (pos + de + dh) py_ in
-    t.pos <- pos + de + dh + plan_draws py_;
-    combine_pauli e hx y
+let pauli_plan_xor_sel t { e; hx; y } ~x ~z ~sel ~stride =
+  let pos = t.pos in
+  for j = 0 to Array.length t.keys - 1 do
+    Mc.Rng.pauli_xor_sel t.keys.(j) ~pos ~stop:digits ~e ~hx ~y ~x ~z ~sel
+      ~stride ~off:j
+  done;
+  t.pos <-
+    pos + ((plan_draws e + plan_draws hx + plan_draws y) * Array.length sel)

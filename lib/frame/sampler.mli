@@ -32,14 +32,10 @@ val uniform : t -> int64
 val digits : int
 
 (** [bernoulli t p] — a lane-0 word whose 64 bits are IID
-    Bernoulli(p), sampled by the binary expansion of [p].  The number
-    of positions consumed depends only on [p]. *)
+    Bernoulli(p), sampled by the binary expansion of [p] from its most
+    significant digit down.  The number of positions consumed depends
+    only on [p].  Raises [Invalid_argument] on a NaN [p]. *)
 val bernoulli : t -> float -> int64
-
-(** [pauli t ~px ~py ~pz] — [(x_plane, z_plane)] lane-0 words of 64
-    IID single-qubit Pauli errors: per bit, X with probability [px],
-    Y with [py] (both planes set), Z with [pz], identity otherwise. *)
-val pauli : t -> px:float -> py:float -> pz:float -> int64 * int64
 
 (** {1 Compiled digit plans}
 
@@ -50,6 +46,8 @@ val pauli : t -> px:float -> py:float -> pz:float -> int64 * int64
 
 type plan
 
+(** [plan p] — the digit plan of [p] (p <= 0 and p >= 1 draw nothing
+    and read 0 and 1).  Raises [Invalid_argument] on a NaN [p]. *)
 val plan : float -> plan
 
 (** Positions consumed per sampling call of this plan. *)
@@ -60,24 +58,27 @@ val plan_draws : plan -> int
 val bernoulli_plan_into : t -> plan -> int64 array -> int -> unit
 
 (** [bernoulli_plan_xor_sel t pl dst ~sel ~stride] — whole-op noise
-    injection: bit-identical to calling {!bernoulli_plan_xor} once
-    per row of [sel] in order, at offsets [sel.(i) * stride], but
-    with each lane's digit folds fused into one bulk [Mc.Rng] call —
-    the hot path of compiled [Flip_x]/[Flip_z] ops. *)
+    injection: for each row [i] of [sel] in order, one fresh word per
+    lane [j] is XORed into [dst.(sel.(i) * stride + j)], each lane's
+    words drawn in one bulk [Mc.Rng] call — the hot path of compiled
+    [Flip_x]/[Flip_z] ops. *)
 val bernoulli_plan_xor_sel :
   t -> plan -> int64 array -> sel:int array -> stride:int -> unit
 
-(** [bernoulli_plan_xor t pl dst off] — as {!bernoulli_plan_into} but
-    XORs into the destination row (fault injection). *)
-val bernoulli_plan_xor : t -> plan -> int64 array -> int -> unit
-
-(** A compiled three-draw Pauli channel (see {!pauli}). *)
+(** A compiled three-fold Pauli channel: per bit, X with probability
+    [px], Y with [py] (both planes set), Z with [pz], identity
+    otherwise.  Sampled as an error word [e], then "has an X part"
+    given [e], then "is a Y" given an X part; the conditional words
+    are folded only on the bits where they matter. *)
 type pauli_plan
 
+(** Raises [Invalid_argument] if [px +. py +. pz] is NaN. *)
 val pauli_plan : px:float -> py:float -> pz:float -> pauli_plan
 
-(** [pauli_plan_xor t pp ~x ~z off] — per lane [j], draw one word of
-    Pauli errors and XOR its X/Z planes into [x.(off + j)] /
-    [z.(off + j)]. *)
-val pauli_plan_xor :
-  t -> pauli_plan -> x:int64 array -> z:int64 array -> int -> unit
+(** [pauli_plan_xor_sel t pp ~x ~z ~sel ~stride] — for each row [i] of
+    [sel] in order, draw one word of Pauli errors per lane [j] and XOR
+    its X/Z planes into [x.(sel.(i) * stride + j)] /
+    [z.(sel.(i) * stride + j)]; one bulk [Mc.Rng] call per lane. *)
+val pauli_plan_xor_sel :
+  t -> pauli_plan -> x:int64 array -> z:int64 array -> sel:int array ->
+  stride:int -> unit

@@ -11,8 +11,9 @@ type key = int64
 let gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 finalizer: a bijective avalanche mix of the full 64-bit
-   state. *)
-let mix z =
+   state.  [@inline] so the folds below stay straight-line unboxed
+   int64 code. *)
+let[@inline] mix z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -28,114 +29,98 @@ let split k i =
 
 let draw k n = mix (Int64.add k (Int64.mul gamma (Int64.of_int (n + 1))))
 
-(* Fused Bernoulli digit fold over the raw stream — the inner loop of
-   Frame.Sampler, hosted here so the mixing constants stay private
-   while the whole fold compiles to straight-line unboxed int64 code:
-   one cross-module call per (qubit, lane) instead of one [draw] call
-   (boxed result and all) per digit.  Semantics are exactly the
-   per-digit fold over [draw k (pos + j - start)] for j = start to
-   stop - 1,
-     acc <- if bit j of scaled then u lor acc else u land acc,
-   expressed branch-free via the mask identity
-     (u land acc) lor (m land (u lor acc))     (m = 11…1 when the bit
-   is set, 0 otherwise), which equals [u lor acc] under m = -1 and
-   [u land acc] under m = 0.
+(* The Bernoulli digit fold of Frame.Sampler, hosted here so the mixing
+   constants stay private while the whole fold compiles to unboxed
+   int64 code: one cross-module call per (op, lane) instead of one
+   boxed [draw] per digit.
 
-   The fold may stop early: draws are pure functions of (key,
-   position), so skipping draws whose effect is fixed changes nothing
-   else — once acc = 0 with only land-digits left (no set bit of
-   [scaled] at or above [j]), the result is 0 whatever the remaining
-   uniforms hold.  The position counter always advances by the full
-   [stop - start] (the caller's contract), so call alignment is
-   untouched. *)
-let fold_digits k ~pos ~scaled ~start ~stop =
-  let z = ref (Int64.add k (Int64.mul gamma (Int64.of_int (pos + 1)))) in
-  let acc = ref 0L in
-  let j = ref start in
-  let live = ref (!j < stop) in
-  while !live do
-    let u =
-      let z = !z in
-      let z =
-        Int64.mul
-          (Int64.logxor z (Int64.shift_right_logical z 30))
-          0xBF58476D1CE4E5B9L
-      in
-      let z =
-        Int64.mul
-          (Int64.logxor z (Int64.shift_right_logical z 27))
-          0x94D049BB133111EBL
-      in
-      Int64.logxor z (Int64.shift_right_logical z 31)
-    in
-    let m =
-      Int64.neg (Int64.logand (Int64.shift_right_logical scaled !j) 1L)
-    in
-    acc :=
-      Int64.logor
-        (Int64.logand u !acc)
-        (Int64.logand m (Int64.logor u !acc));
-    z := Int64.add !z gamma;
-    incr j;
-    live :=
-      !j < stop
-      && not
-           (!acc = 0L && Int64.shift_right_logical scaled !j = 0L)
+   Per bit, the fold decides [V < P], where P is the digit string of
+   [scaled] (digit j = bit j, j = stop - 1 most significant) and V's
+   digit j is the complement of u_j = draw k (pos + j - start).  It
+   compares from the top digit down: a bit is decided at the first
+   digit where V and P differ.  A 1-digit of P decides the bits where
+   u_j = 1 (they read 1), a 0-digit the bits where u_j = 0 (they read
+   0).  The loop stops once every bit of [care] is decided; a bit
+   still undecided after digit [start] has V = P on every drawn digit
+   and reads 0.  The result is the least-significant-first fold
+     acc <- if bit j of scaled then u_j lor acc else u_j land acc
+   (j = start .. stop - 1, from 0) AND [care]: that fold's top digit
+   fixes every bit where u_j equals the digit and passes the others
+   down, which is this comparison.  Half the undecided bits settle per
+   digit, so a whole word costs ~7.3 draws whatever p's digits are.
+   Draws are a pure function of (key, position), so the draws skipped
+   never shift another call: every caller advances by the full
+   [stop - start]. *)
+let[@inline] fold k ~pos ~scaled ~start ~stop ~care =
+  (* the state of draw [pos + stop - 1 - start], digit [stop - 1]'s *)
+  let z = ref (Int64.add k (Int64.mul gamma (Int64.of_int (pos + stop - start)))) in
+  let acc = ref 0L and und = ref care and j = ref (stop - 1) in
+  while !und <> 0L && !j >= start do
+    let u = mix !z in
+    let m = Int64.neg (Int64.logand (Int64.shift_right_logical scaled !j) 1L) in
+    let d = Int64.logand !und (Int64.lognot (Int64.logxor u m)) in
+    acc := Int64.logor !acc (Int64.logand d m);
+    und := Int64.logxor !und d;
+    z := Int64.sub !z gamma;
+    decr j
   done;
   !acc
 
-(* Bulk variant: one fold per selected row, folding row [i] of [sel]
-   over positions [pos + i*(stop-start) ..] and XOR-ing the result
-   into [rows.(sel.(i) * stride + off)] — the whole noise injection of
-   one lane in a single call, so per-fold call and boxing overhead is
-   paid once per (op, lane) instead of once per (qubit, lane).  The
-   (key, position) pairs consumed are exactly those of [fold_digits]
-   called per row in order, so the outputs are bit-identical to the
-   row-at-a-time path whatever the iteration order of the caller
-   (including its early exit, see above). *)
-let fold_digits_xor_sel k ~pos ~scaled ~start ~stop ~rows ~sel ~stride ~off =
+let fold_digits k ~pos ~scaled ~start ~stop =
+  fold k ~pos ~scaled ~start ~stop ~care:(-1L)
+
+let fold_digits_care k ~pos ~scaled ~start ~stop ~care =
+  fold k ~pos ~scaled ~start ~stop ~care
+
+type plan = { scaled : int64; start : int; ones : int64 }
+
+(* Bulk Bernoulli: row [i] of [sel] folds positions
+   [pos + i * (stop - start) ..] and XORs [ones lor fold] into
+   [rows.(sel.(i) * stride + off)] — a whole Flip op of one lane in a
+   single call. *)
+let fold_digits_xor_sel k ~pos ~stop { scaled; start; ones } ~rows ~sel ~stride
+    ~off =
   let draws = stop - start in
-  let n = Array.length sel in
-  for i = 0 to n - 1 do
-    let z =
-      ref
-        (Int64.add k
-           (Int64.mul gamma (Int64.of_int (pos + (i * draws) + 1))))
+  for i = 0 to Array.length sel - 1 do
+    let w =
+      Int64.logor ones
+        (fold k ~pos:(pos + (i * draws)) ~scaled ~start ~stop ~care:(-1L))
     in
-    let acc = ref 0L in
-    let j = ref start in
-    let live = ref (!j < stop) in
-    while !live do
-      let u =
-        let z = !z in
-        let z =
-          Int64.mul
-            (Int64.logxor z (Int64.shift_right_logical z 30))
-            0xBF58476D1CE4E5B9L
-        in
-        let z =
-          Int64.mul
-            (Int64.logxor z (Int64.shift_right_logical z 27))
-            0x94D049BB133111EBL
-        in
-        Int64.logxor z (Int64.shift_right_logical z 31)
-      in
-      let m =
-        Int64.neg (Int64.logand (Int64.shift_right_logical scaled !j) 1L)
-      in
-      acc :=
-        Int64.logor
-          (Int64.logand u !acc)
-          (Int64.logand m (Int64.logor u !acc));
-      z := Int64.add !z gamma;
-      incr j;
-      live :=
-        !j < stop
-        && not
-             (!acc = 0L && Int64.shift_right_logical scaled !j = 0L)
-    done;
     let idx = (sel.(i) * stride) + off in
-    rows.(idx) <- Int64.logxor rows.(idx) !acc
+    rows.(idx) <- Int64.logxor rows.(idx) w
+  done
+
+(* Bulk Pauli: per row, e (an error fired), then hx (it has an X part)
+   only on the bits of e, then y (it is a Y) only on the bits of
+   e land hx — the only bits where x = e land hx and
+   z = e land ((hx land y) lor lnot hx) read them.  Row [i] reads
+   e, hx and y at [pos + i * draws], [+ de] and [+ de + dh], as three
+   consecutive plan calls would. *)
+let pauli_xor_sel k ~pos ~stop ~e ~hx ~y ~x ~z ~sel ~stride ~off =
+  let de = stop - e.start and dh = stop - hx.start in
+  let draws = de + dh + (stop - y.start) in
+  for i = 0 to Array.length sel - 1 do
+    let p = pos + (i * draws) in
+    let ew =
+      Int64.logor e.ones
+        (fold k ~pos:p ~scaled:e.scaled ~start:e.start ~stop ~care:(-1L))
+    in
+    if ew <> 0L then begin
+      let hw =
+        Int64.logor hx.ones
+          (fold k ~pos:(p + de) ~scaled:hx.scaled ~start:hx.start ~stop ~care:ew)
+      in
+      let xw = Int64.logand ew hw in
+      let yw =
+        Int64.logor y.ones
+          (fold k ~pos:(p + de + dh) ~scaled:y.scaled ~start:y.start ~stop
+             ~care:xw)
+      in
+      let zw = Int64.logand ew (Int64.logor (Int64.logand hw yw) (Int64.lognot hw)) in
+      let idx = (sel.(i) * stride) + off in
+      x.(idx) <- Int64.logxor x.(idx) xw;
+      z.(idx) <- Int64.logxor z.(idx) zw
+    end
   done
 
 let to_state k =

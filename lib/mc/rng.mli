@@ -22,29 +22,74 @@ val split : key -> int -> key
     (stateless; exposed for independence testing). *)
 val draw : key -> int -> int64
 
-(** [fold_digits k ~pos ~scaled ~start ~stop] — the Bernoulli digit
-    fold of [Frame.Sampler], fused into the raw stream: with
-    [u_j = draw k (pos + j - start)], fold
-    [acc <- if bit j of scaled then u_j lor acc else u_j land acc]
-    for [j = start] to [stop - 1], starting from 0.  Bit-identical to
-    the per-[draw] fold; hosted here so the hot loop runs without
-    per-digit calls or boxing (the mixing constants are private). *)
+(** {1 Bernoulli digit folds}
+
+    The inner loops of [Frame.Sampler], fused into the raw stream so
+    they run without per-digit calls or boxing (the mixing constants
+    are private).  [scaled] holds the binary digits of a probability
+    p, digit [j] = bit [j], digit [stop - 1] the most significant; the
+    fold reads digits [start .. stop - 1] and always accounts for
+    [stop - start] positions, whatever it skips. *)
+
+(** [fold_digits k ~pos ~scaled ~start ~stop] — a word of IID
+    Bernoulli bits: with [u_j = draw k (pos + j - start)], the value
+    of [acc <- if bit j of scaled then u_j lor acc else u_j land acc]
+    folded for [j = start] to [stop - 1] from [acc = 0].  It is
+    computed from the top digit down: a bit is decided at the first
+    digit where [u_j] agrees with the digit (1-digit: [u_j = 1] reads
+    1; 0-digit: [u_j = 0] reads 0), a bit undecided after digit
+    [start] reads 0, and the draws stop once every bit is decided
+    (~7.3 per word on average). *)
 val fold_digits :
   key -> pos:int -> scaled:int64 -> start:int -> stop:int -> int64
 
-(** [fold_digits_xor_sel k ~pos ~scaled ~start ~stop ~rows ~sel
-    ~stride ~off] — bulk {!fold_digits}: fold row [i] of [sel] over
-    positions [pos + i*(stop-start) ..] and XOR the result into
-    [rows.(sel.(i) * stride + off)], for every [i].  Bit-identical to
-    per-row [fold_digits] calls; one cross-module call injects a whole
-    op's noise for one lane. *)
+(** [fold_digits_care k ~pos ~scaled ~start ~stop ~care] —
+    [fold_digits k ~pos ~scaled ~start ~stop land care], drawing only
+    until every bit of [care] is decided (none when [care = 0]). *)
+val fold_digits_care :
+  key -> pos:int -> scaled:int64 -> start:int -> stop:int -> care:int64 -> int64
+
+(** A compiled Bernoulli plan: digits [start .. stop - 1] of [scaled],
+    with the bits of [ones] forced to 1 (all ones for p >= 1, with
+    [start = stop] so no draws; 0 otherwise).  A plan's word is
+    [ones lor fold_digits k ~pos ~scaled ~start ~stop]. *)
+type plan = { scaled : int64; start : int; ones : int64 }
+
+(** [fold_digits_xor_sel k ~pos ~stop pl ~rows ~sel ~stride ~off] —
+    for every [i], XOR plan [pl]'s word at positions
+    [pos + i * (stop - pl.start) ..] into
+    [rows.(sel.(i) * stride + off)]: one call injects a whole op's
+    noise for one lane. *)
 val fold_digits_xor_sel :
   key ->
   pos:int ->
-  scaled:int64 ->
-  start:int ->
   stop:int ->
+  plan ->
   rows:int64 array ->
+  sel:int array ->
+  stride:int ->
+  off:int ->
+  unit
+
+(** [pauli_xor_sel k ~pos ~stop ~e ~hx ~y ~x ~z ~sel ~stride ~off] —
+    for every [i], the Pauli word of row [i]: plan words [e] (an error
+    fired), [hx] (it has an X part) and [y] (it is a Y), read at
+    [pos + i * d], [+ de] and [+ de + dh] (each plan's [stop - start]
+    draws; [d] their sum), give [x = e land hx] and
+    [z = e land ((hx land y) lor lnot hx)], XORed into
+    [x.(sel.(i) * stride + off)] and [z.(..)].  [hx] is folded only
+    where [e] is set and [y] only where [e land hx] is: the bits that
+    x and z read, so the words equal the three full plan words
+    combined. *)
+val pauli_xor_sel :
+  key ->
+  pos:int ->
+  stop:int ->
+  e:plan ->
+  hx:plan ->
+  y:plan ->
+  x:int64 array ->
+  z:int64 array ->
   sel:int array ->
   stride:int ->
   off:int ->

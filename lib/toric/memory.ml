@@ -84,19 +84,3 @@ let run_rare ?domains ?chunk ?obs ?campaign ?z ?config ?decoder ~l ~p ~seed ()
     =
   Mc.Runner.estimate_rare ?domains ?chunk ?obs ?campaign ?z ?config ~seed
     (rare_model ?decoder ~l ~p ())
-
-let scan ?(decoder = `Union_find) ~ls ~ps ~trials rng =
-  List.concat_map
-    (fun l -> List.map (fun p -> run ~decoder ~l ~p ~trials rng) ps)
-    ls
-
-let scan_mc ?domains ?obs ?(decoder = `Union_find) ~ls ~ps ~trials ~seed () =
-  List.concat_map
-    (fun l ->
-      List.mapi
-        (fun i p ->
-          run_mc ?domains ?obs ~decoder ~l ~p ~trials
-            ~seed:(Mc.Rng.derive seed [ l; i ])
-            ())
-        ps)
-    ls

@@ -95,25 +95,3 @@ val run_rare :
   seed:int ->
   unit ->
   Mc.Stats.weighted
-
-(** [scan ?decoder ~ls ~ps ~trials rng] — full grid of results. *)
-val scan :
-  ?decoder:[ `Union_find | `Greedy ] ->
-  ls:int list ->
-  ps:float list ->
-  trials:int ->
-  Random.State.t ->
-  result list
-
-(** [scan_mc] — parallel grid; each (l, p) cell gets its own derived
-    seed, so cells are independent of grid shape and order. *)
-val scan_mc :
-  ?domains:int ->
-  ?obs:Obs.t ->
-  ?decoder:[ `Union_find | `Greedy ] ->
-  ls:int list ->
-  ps:float list ->
-  trials:int ->
-  seed:int ->
-  unit ->
-  result list

@@ -334,19 +334,3 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch) ?(tile_width = 64) ~l
          ~batch ())
   in
   result ~l ~rounds ~p ~q ~trials failures
-
-let scan ~ls ~ps ~rounds ~trials rng =
-  List.concat_map
-    (fun l -> List.map (fun p -> run ~l ~rounds ~p ~q:p ~trials rng) ps)
-    ls
-
-let scan_mc ?domains ?obs ~ls ~ps ~rounds ~trials ~seed () =
-  List.concat_map
-    (fun l ->
-      List.mapi
-        (fun i p ->
-          run_mc ?domains ?obs ~l ~rounds ~p ~q:p ~trials
-            ~seed:(Mc.Rng.derive seed [ l; i ])
-            ())
-        ps)
-    ls

@@ -86,26 +86,3 @@ val run_batch :
   seed:int ->
   unit ->
   result
-
-(** [scan ~ls ~ps ~rounds ~trials rng] — grid with q = p (the usual
-    phenomenological convention). *)
-val scan :
-  ls:int list ->
-  ps:float list ->
-  rounds:int ->
-  trials:int ->
-  Random.State.t ->
-  result list
-
-(** [scan_mc] — parallel grid; each (l, p) cell gets its own derived
-    seed, so cells are independent of grid shape and order. *)
-val scan_mc :
-  ?domains:int ->
-  ?obs:Obs.t ->
-  ls:int list ->
-  ps:float list ->
-  rounds:int ->
-  trials:int ->
-  seed:int ->
-  unit ->
-  result list

@@ -397,6 +397,262 @@ let test_batch_trials_not_multiple_of_64 () =
   in
   check "ragged trials: batch = scalar" true (c100 = scalar)
 
+(* --- oracles: the digit fold, the Pauli word, the transpose ---------- *)
+
+(* The Bernoulli digit fold as documented, one [Mc.Rng.draw] per digit
+   from the least significant digit up. *)
+let reference_fold key ~pos ~scaled ~start ~stop =
+  let acc = ref 0L in
+  for j = start to stop - 1 do
+    let u = Mc.Rng.draw key (pos + j - start) in
+    acc :=
+      if Int64.logand (Int64.shift_right_logical scaled j) 1L = 1L then
+        Int64.logor u !acc
+      else Int64.logand u !acc
+  done;
+  !acc
+
+(* p's digits as the sampler keeps them: p * 2^40 rounded and clamped
+   into [1, 2^40 - 1], folded from its lowest set digit. *)
+let digits_of p =
+  let s = Int64.of_float ((p *. 0x1p40) +. 0.5) in
+  let s = if s <= 0L then 1L else if s >= 0x10000000000L then 0xFFFFFFFFFFL else s in
+  let rec lowest j =
+    if Int64.logand (Int64.shift_right_logical s j) 1L = 1L then j else lowest (j + 1)
+  in
+  (s, lowest 0)
+
+(* A probability's word and draw count: p <= 0 and p >= 1 draw
+   nothing. *)
+let reference_word key ~pos p =
+  if p <= 0.0 then (0L, 0)
+  else if p >= 1.0 then (-1L, 0)
+  else
+    let scaled, start = digits_of p in
+    (reference_fold key ~pos ~scaled ~start ~stop:Frame.Sampler.digits,
+     Frame.Sampler.digits - start)
+
+let gen_p =
+  QCheck.Gen.(
+    oneof
+      [ map (fun k -> Float.ldexp 1.0 (-k)) (int_range 1 40);
+        oneofl
+          [ 1.0 -. 0x1p-40; 0.5; 2.0 /. 3.0; 0.001 /. 3.0; 0.01 /. 3.0;
+            0.05 /. 3.0; 0.08 /. 3.0; 0.1 /. 3.0 ];
+        float_bound_exclusive 1.0 ])
+
+let prop_fold_digits_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* key = ui64 in
+      let* pos = int_range 0 1_000_000 in
+      let* p = gen_p in
+      let scaled, lowest = digits_of p in
+      (* any start at or below the lowest set digit folds the same
+         digits over a different window of positions *)
+      let* start = oneof [ return lowest; int_range 0 lowest ] in
+      let* care = oneof [ return (-1L); return 0L; ui64 ] in
+      return (key, pos, scaled, start, care))
+  in
+  let print (key, pos, scaled, start, care) =
+    Printf.sprintf "key %Lx pos %d scaled %Lx start %d care %Lx" key pos scaled
+      start care
+  in
+  QCheck.Test.make ~name:"Mc.Rng.fold_digits = per-digit fold over draw"
+    ~count:3000 (QCheck.make ~print gen)
+    (fun (key, pos, scaled, start, care) ->
+      let stop = Frame.Sampler.digits in
+      let r = reference_fold key ~pos ~scaled ~start ~stop in
+      Mc.Rng.fold_digits key ~pos ~scaled ~start ~stop = r
+      && Mc.Rng.fold_digits_care key ~pos ~scaled ~start ~stop ~care
+         = Int64.logand r care)
+
+(* Plane.depolarize_plan on a 4-lane tile against three reference
+   folds per (qubit, lane), combined as x = e·hx and
+   z = e·(hx·y + ¬hx), including the zero-draw plans of biased and
+   degenerate channels; the sampler must end where three full plan
+   calls per qubit leave it. *)
+let prop_depolarize_oracle =
+  let lanes = 4 and n = 5 in
+  let qubits = [| 3; 0; 4; 1 |] in
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_range 0 100_000 in
+      let* skip = int_range 0 50 in
+      let q = oneof [ return 0.0; gen_p ] in
+      let* px, py, pz =
+        oneof
+          [ triple q q q;
+            (let* a = gen_p and* b = gen_p and* c = gen_p in
+             oneofl
+               [ (a, b, 0.0); (0.0, 0.0, c); (0.0, b, c); (0.0, 0.0, 0.0);
+                 (a /. 3.0, a /. 3.0, a /. 3.0); (0.5, 0.25, 0.25) ]) ]
+      in
+      return (seed, skip, px, py, pz))
+  in
+  let print (seed, skip, px, py, pz) =
+    Printf.sprintf "seed %d skip %d px %h py %h pz %h" seed skip px py pz
+  in
+  QCheck.Test.make ~name:"Plane.depolarize_plan = three reference folds"
+    ~count:400 (QCheck.make ~print gen)
+    (fun (seed, skip, px, py, pz) ->
+      let root = Mc.Rng.root seed in
+      let keys = Array.init lanes (Mc.Rng.split root) in
+      let sampler = Frame.Sampler.create_tile keys in
+      for _ = 1 to skip do
+        ignore (Frame.Sampler.uniform sampler)
+      done;
+      let plane = Frame.Plane.create ~width:(64 * lanes) n in
+      let rng = Random.State.make [| seed |] in
+      let x0 = Array.init (n * lanes) (fun _ -> Random.State.bits64 rng) in
+      let z0 = Array.init (n * lanes) (fun _ -> Random.State.bits64 rng) in
+      for q = 0 to n - 1 do
+        for lane = 0 to lanes - 1 do
+          Frame.Plane.xor_x ~lane plane q x0.((q * lanes) + lane);
+          Frame.Plane.xor_z ~lane plane q z0.((q * lanes) + lane)
+        done
+      done;
+      Frame.Plane.depolarize_plan plane sampler ~qubits
+        (Frame.Sampler.pauli_plan ~px ~py ~pz);
+      let pt = px +. py +. pz in
+      let pe, phx, py' =
+        if pt <= 0.0 then (0.0, 0.0, 0.0)
+        else
+          ( pt,
+            (px +. py) /. pt,
+            if px +. py <= 0.0 then 0.0 else py /. (px +. py) )
+      in
+      let pos = ref skip in
+      Array.iter
+        (fun q ->
+          let next = ref !pos in
+          for lane = 0 to lanes - 1 do
+            let key = keys.(lane) in
+            let e, de = reference_word key ~pos:!pos pe in
+            let hx, dh = reference_word key ~pos:(!pos + de) phx in
+            let y, dy = reference_word key ~pos:(!pos + de + dh) py' in
+            let i = (q * lanes) + lane in
+            x0.(i) <- Int64.logxor x0.(i) (Int64.logand e hx);
+            z0.(i) <-
+              Int64.logxor z0.(i)
+                (Int64.logand e
+                   (Int64.logor (Int64.logand hx y) (Int64.lognot hx)));
+            next := !pos + de + dh + dy
+          done;
+          pos := !next)
+        qubits;
+      let planes_ok = ref true in
+      for q = 0 to n - 1 do
+        for lane = 0 to lanes - 1 do
+          if
+            Frame.Plane.get_x ~lane plane q <> x0.((q * lanes) + lane)
+            || Frame.Plane.get_z ~lane plane q <> z0.((q * lanes) + lane)
+          then planes_ok := false
+        done
+      done;
+      !planes_ok && Frame.Sampler.uniform sampler = Mc.Rng.draw keys.(0) !pos)
+
+let test_transpose_rows_bitwise () =
+  (* word d of shot k must hold, at bit i, bit k of row 64·d + i (0
+     past nrows); transpose64 is the one-block case *)
+  let rng = Random.State.make [| 5 |] in
+  let bit = Frame.Plane.bit in
+  List.iter
+    (fun lanes ->
+      List.iter
+        (fun nrows ->
+          let pos = 3 in
+          let src =
+            Array.init ((pos + nrows + 1) * lanes) (fun _ -> Random.State.bits64 rng)
+          in
+          let nblocks = (nrows + 63) / 64 in
+          let dst = Array.make (nblocks * 64) 0L in
+          let ok = ref true in
+          for lane = 0 to lanes - 1 do
+            Frame.Plane.transpose_rows ~src ~lanes ~lane ~pos ~nrows dst;
+            for d = 0 to nblocks - 1 do
+              for k = 0 to 63 do
+                let expect = ref 0L in
+                for i = 0 to 63 do
+                  let r = (d * 64) + i in
+                  if r < nrows && bit src.(((pos + r) * lanes) + lane) k then
+                    expect := Int64.logor !expect (Int64.shift_left 1L i)
+                done;
+                if dst.((d * 64) + k) <> !expect then ok := false
+              done
+            done
+          done;
+          check
+            (Printf.sprintf "transpose_rows bit by bit (lanes %d, nrows %d)" lanes nrows)
+            true !ok)
+        [ 1; 25; 63; 64; 65; 130 ])
+    [ 1; 4 ];
+  let a = Array.init 64 (fun _ -> Random.State.bits64 rng) in
+  let t = Array.copy a in
+  Frame.Plane.transpose64 t 0;
+  let ok = ref true in
+  for r = 0 to 63 do
+    for c = 0 to 63 do
+      if bit a.(r) c <> bit t.(c) r then ok := false
+    done
+  done;
+  check "transpose64 bit by bit" true !ok
+
+(* --- NaN probabilities ------------------------------------------------ *)
+
+let test_nan_probability_rejected () =
+  let raises name f =
+    check name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "Sampler.plan nan" (fun () -> ignore (Frame.Sampler.plan Float.nan));
+  raises "Sampler.bernoulli nan" (fun () ->
+      ignore (Frame.Sampler.bernoulli (Frame.Sampler.create (Mc.Rng.root 1)) Float.nan));
+  raises "Sampler.pauli_plan nan" (fun () ->
+      ignore (Frame.Sampler.pauli_plan ~px:Float.nan ~py:0.01 ~pz:0.01));
+  raises "Program.make Flip_x nan" (fun () ->
+      ignore
+        (Frame.Program.make ~n:2
+           [ Frame.Program.Flip_x { qubits = [| 0; 1 |]; p = Float.nan } ]));
+  raises "Program.make Depolarize nan" (fun () ->
+      ignore
+        (Frame.Program.make ~n:2
+           [ Frame.Program.Depolarize
+               { qubits = [| 0 |]; px = 0.01; py = 0.01; pz = Float.nan } ]));
+  raises "Toric.Memory.run_batch nan" (fun () ->
+      ignore (Toric.Memory.run_batch ~domains:1 ~l:3 ~p:Float.nan ~trials:64 ~seed:1 ()))
+
+(* --- allocation ------------------------------------------------------- *)
+
+(* Minor-heap words per shot of an estimate on one domain (the runner
+   then runs every tile on the calling domain, so the count is exact
+   and repeats); a first run forces tables and lazies.  This guards
+   the unboxed fold, transpose and parity loops, which no timing test
+   can. *)
+let words_per_shot ~trials f =
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  ignore (f ());
+  (Gc.minor_words () -. w0) /. float_of_int trials
+
+let test_kernel_allocation () =
+  let trials = 16_384 in
+  let golay = Csskit.Zoo.get "golay23" in
+  let golay_words =
+    words_per_shot ~trials (fun () ->
+        Csskit.Memory.memory_failure_batch ~domains:1 ~tile_width:256 golay
+          ~eps:0.08 ~rounds:1 ~trials ~seed:11 ())
+  in
+  check (Printf.sprintf "golay23 w256: %.1f <= 16 minor words per shot" golay_words)
+    true (golay_words <= 16.0);
+  let toric_words =
+    words_per_shot ~trials (fun () ->
+        Toric.Memory.run_batch ~domains:1 ~tile_width:256 ~l:5 ~p:0.05 ~trials
+          ~seed:11 ())
+  in
+  check (Printf.sprintf "toric L5 w256: %.1f <= 24 minor words per shot" toric_words)
+    true (toric_words <= 24.0)
+
 (* --- Mc.Rng stream type ------------------------------------------------ *)
 
 let test_rng_stream_reproducible () =
@@ -451,5 +707,15 @@ let suites =
           test_rng_stream_reproducible;
         Alcotest.test_case "rng legacy wrapper" `Quick
           test_rng_legacy_wrapper_shares_state;
+      ] );
+    ( "frame.oracle",
+      [
+        QCheck_alcotest.to_alcotest prop_fold_digits_oracle;
+        QCheck_alcotest.to_alcotest prop_depolarize_oracle;
+        Alcotest.test_case "transpose_rows bit by bit" `Quick
+          test_transpose_rows_bitwise;
+        Alcotest.test_case "NaN probability rejected" `Quick
+          test_nan_probability_rejected;
+        Alcotest.test_case "kernel allocation" `Quick test_kernel_allocation;
       ] );
   ]
