@@ -41,11 +41,13 @@ val run_mc :
     ({!Frame}).  It is {!Noisy_memory.run_batch} at one perfect round
     ([rounds = 1], [q = 0]): shots without a defect are judged by
     word-parallel winding, defect shots are matched straight from
-    their lane's syndrome words with union-find decoding, and each
-    lane's residual is checked and judged word-wise.  [`Batch]
-    (default) and [`Scalar] see the identical sampled noise (same
-    {!Frame.Sampler} call sequence), so their failure counts are
-    bit-identical — across engines, domain counts and tile widths;
+    their lane's syndrome words (through the shared syndrome table
+    of {!Decoder} up to L = 5, by union-find otherwise, with the same
+    edges either way), and each lane's residual is checked and judged
+    word-wise.  [`Batch] (default) and [`Scalar] see the identical
+    sampled noise (same {!Frame.Sampler} call sequence), so their
+    failure counts are bit-identical — across engines, domain counts
+    and tile widths;
     [`Scalar] re-runs the per-shot pipeline ({!Lattice.syndrome},
     one-shot decoding, {!Lattice.winding}) as the cross-check /
     baseline.  The legacy [run]/[run_mc] use per-shot [Random.State]

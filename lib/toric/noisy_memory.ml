@@ -99,13 +99,17 @@ let run_mc ?domains ?obs ~l ~rounds ~p ~q ~trials ~seed () =
    is judged by its clean winding alone.  Otherwise each live defect
    shot's detection nodes are read off the lane's rows (through one
    block transpose of them when the lane has [transpose_threshold]
-   defect shots or more, by bit-probing below that) and matched in
-   the worker's workspace; the selected spatial edges are XORed into
+   defect shots or more, by bit-probing below that) and decoded in
+   the worker's {!Decoder.workspace}: on a small graph its shared
+   syndrome table answers repeats and union-find the rest, with the
+   same edges either way.  The selected spatial edges are XORed into
    one correction word per qubit.  The residual (error plane XOR
    corrections) must have zero syndrome on every live shot, and its
-   winding parity is the failure word.  [`Scalar] re-runs every shot
-   through the one-shot pipeline on per-round snapshots of the same
-   noise, so its counts equal [`Batch]'s by construction. *)
+   winding parity is the failure word.  A live [?obs] gets, per tile,
+   the shots and defect shots judged and the union-find calls made.
+   [`Scalar] re-runs every shot through the one-shot pipeline on
+   per-round snapshots of the same noise, so its counts equal
+   [`Batch]'s by construction. *)
 type batch_ctx = {
   plane : Frame.Plane.t;
   out : int64 array;  (* np rows: one round's syndrome *)
@@ -117,7 +121,8 @@ type batch_ctx = {
   tdet : int64 array;  (* one lane's detection rows, block-transposed *)
   nodes : int array;  (* one shot's detection nodes *)
   corr : int64 array;  (* one lane's correction, one word per qubit *)
-  ws : Match_graph.workspace;
+  dec : Decoder.workspace;
+  mutable defect_shots : int;  (* judged so far by this worker *)
 }
 
 (* Lanes with at least this many defect shots read their detection
@@ -152,8 +157,8 @@ let[@inline] parity words sel =
   done;
   !acc
 
-let run_batch ?domains ?obs ?campaign ?(engine = `Batch) ?(tile_width = 64) ~l
-    ~rounds ~p ~q ~trials ~seed () =
+let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
+    ?(tile_width = 64) ~l ~rounds ~p ~q ~trials ~seed () =
   let lat, st = setup ~l ~rounds in
   let nq = Lattice.num_qubits lat in
   let np = Lattice.num_plaquettes lat in
@@ -233,7 +238,9 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch) ?(tile_width = 64) ~l
     let todo = Int64.logand any mask in
     if todo = 0L then clean
     else begin
-      let transposed = Mc.Runner.popcount64 todo >= transpose_threshold in
+      let n_todo = Mc.Runner.popcount64 todo in
+      ctx.defect_shots <- ctx.defect_shots + n_todo;
+      let transposed = n_todo >= transpose_threshold in
       if transposed then
         Frame.Plane.transpose_rows ~src:ctx.det ~lanes ~lane:j ~pos:0 ~nrows
           ctx.tdet;
@@ -247,8 +254,8 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch) ?(tile_width = 64) ~l
           if transposed then transposed_nodes ctx b
           else probed_nodes ctx ~lane:j b
         in
-        let s = Match_graph.decode_into ctx.ws ~defects:ctx.nodes ~count in
-        let sel = Match_graph.selected ctx.ws and m = Int64.shift_left 1L b in
+        let s = Decoder.decode_into ctx.dec ~defects:ctx.nodes ~count in
+        let sel = Decoder.selected ctx.dec and m = Int64.shift_left 1L b in
         for i = 0 to s - 1 do
           let qb = st.Decoder.qubit.(sel.(i)) in
           if qb >= 0 then corr.(qb) <- Int64.logxor corr.(qb) m
@@ -308,11 +315,20 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch) ?(tile_width = 64) ~l
     match engine with
     | `Batch ->
       let loaded = ref false in
-      Array.init lanes (fun j -> judge_lane ctx loaded ~live:(live j) j)
+      let shots0 = ctx.defect_shots and uf0 = Decoder.uf_calls ctx.dec in
+      let fails =
+        Array.init lanes (fun j -> judge_lane ctx loaded ~live:(live j) j)
+      in
+      if Obs.enabled obs then begin
+        Obs.add obs "toric.shots" count;
+        Obs.add obs "toric.defect_shots" (ctx.defect_shots - shots0);
+        Obs.add obs "toric.uf_calls" (Decoder.uf_calls ctx.dec - uf0)
+      end;
+      fails
     | `Scalar -> Array.init lanes (fun j -> scalar_lane ctx ~live:(live j) j)
   in
   let failures =
-    Mc.Runner.failures ?domains ?obs ?campaign
+    Mc.Runner.failures ?domains ~obs ?campaign
       ~engine:(Mc.Engine.batch ~tile_width ())
       ~trials ~seed
       (Mc.Runner.model
@@ -329,7 +345,8 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch) ?(tile_width = 64) ~l
              tdet = Array.make (nblocks * 64) 0L;
              nodes = Array.make nrows 0;
              corr = Array.make nq 0L;
-             ws = Match_graph.workspace st.graph;
+             dec = Decoder.workspace st;
+             defect_shots = 0;
            })
          ~batch ())
   in

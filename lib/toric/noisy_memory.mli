@@ -62,9 +62,18 @@ val run_mc :
     shots with no detection event by their winding alone; the rest
     are matched straight from the lane's detection words (block-
     transposed once a lane has three or more of them) in a
-    worker-held {!Match_graph.workspace}, their spatial corrections
-    XORed into one word per qubit, and the residual checked for zero
-    syndrome on every live shot before its winding is read.
+    worker-held {!Decoder.workspace} — through the process-wide
+    syndrome table of a graph with at most 62 nodes and 62 edges,
+    else by union-find, with the same edges either way — their
+    spatial corrections XORed into one word per qubit, and the
+    residual checked for zero syndrome on every live shot before its
+    winding is read.  A live [?obs] receives, once per tile, the
+    counters [toric.shots] (shots judged), [toric.defect_shots]
+    (those with a detection event) and [toric.uf_calls] (union-find
+    calls; the other defect shots were table hits).  They count every
+    tile judged, the runner's warm-up tile and retried tiles
+    included, and [toric.uf_calls] depends on what the table held, so
+    on earlier runs and domain timing: metrics, never results.
     [`Scalar] re-runs each shot through the one-shot pipeline
     ({!Decoder.decode_space_time}, {!Lattice.syndrome},
     {!Lattice.winding}) on the same sampled noise, so counts are

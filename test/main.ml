@@ -12,7 +12,8 @@ let () =
    @ Test_conjugate.suites @ Test_pauli_frame.suites @ Test_frame.suites @ Test_extensions.suites @ Test_golay.suites @ Test_weight_enumerator.suites
    @ Test_exact.suites
    @ Test_threshold.suites
-   @ Test_toric.suites @ Test_noisy_toric.suites @ Test_anyon.suites
+   @ Test_toric.suites @ Test_noisy_toric.suites @ Test_toric_table.suites
+   @ Test_anyon.suites
    @ Test_synthesis.suites @ Test_more_properties.suites @ Test_mc.suites
    @ Test_obs.suites @ Test_campaign.suites @ Test_inject.suites
    @ Test_subset.suites @ Test_csskit.suites @ Test_decode_counts.suites

@@ -4,10 +4,12 @@
    per-side syndrome tables; the toric L12 and noisy L5 r5 keys from
    the batch kernels as they stood before plain memory became the
    one-round case of the space-time kernel (they read 144 and 125
-   detection rows, so three and two transpose blocks).  A decoder or
-   kernel rewrite that picks a different (equally valid) matching or
-   correction changes some of these counts, so the comparison is
-   exact. *)
+   detection rows, so three and two transpose blocks); the toric L4
+   and noisy L3 r2 keys from the kernel as it stood before the shared
+   syndrome table (L4's table ends complete, L3 r2's stays hashed).
+   A decoder or kernel rewrite that picks a different (equally valid)
+   matching or correction changes some of these counts, so the
+   comparison is exact. *)
 
 open Ftqc
 
@@ -76,6 +78,13 @@ let cases : (string * (unit -> int)) list =
           (Toric.Circuit_memory.run_dp ~domains:2 ~l:3 ~rounds:3 ~p:0.01
              ~trials:4000 ~seed:18 ())
             .Mc.Stats.failures ) ]
+  @ per_width_and_domains ~widths:[ 256 ] "toric L4 p=0.08"
+      (toric_batch ~l:4 ~p:0.08 ~trials:6000 ~seed:21)
+  @ per_width_and_domains ~widths:[ 64 ] "noisy run_batch L3 r2 p=q=0.03"
+      (fun ~tile_width ~domains ->
+        (Toric.Noisy_memory.run_batch ~domains ~tile_width ~l:3 ~rounds:2
+           ~p:0.03 ~q:0.03 ~trials:4000 ~seed:22 ())
+          .Toric.Noisy_memory.failures)
 
 let golden () =
   match Obs.Json.read_file golden_file with
