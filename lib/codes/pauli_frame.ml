@@ -183,6 +183,7 @@ let memory_failure_biased_mc ?domains ?obs ~level ~eps ~eta ~rounds ~trials
 module Plane = Frame.Plane
 module Sampler = Frame.Sampler
 module Program = Frame.Program
+module W = Mc.Words
 
 type engine = [ `Batch | `Scalar ]
 
@@ -228,49 +229,68 @@ let steane_tables =
         az;
       })
 
-let parity_sel (x : int64 array) (z : int64 array) off (c : Program.check) =
+(* Parity of check [c] over one 7-qubit block of unboxed words: qubit
+   q's X word is word [base + q * stride] of [x] (likewise Z).
+   Inlined, so the parity word is never boxed. *)
+let[@inline] parity_sel x z ~base ~stride (c : Program.check) =
   let acc = ref 0L in
-  Array.iter (fun q -> acc := Int64.logxor !acc x.(off + q)) c.Program.x_sel;
-  Array.iter (fun q -> acc := Int64.logxor !acc z.(off + q)) c.Program.z_sel;
+  for i = 0 to Array.length c.Program.x_sel - 1 do
+    acc := Int64.logxor !acc (W.get x (8 * (base + (c.Program.x_sel.(i) * stride))))
+  done;
+  for i = 0 to Array.length c.Program.z_sel - 1 do
+    acc := Int64.logxor !acc (W.get z (8 * (base + (c.Program.z_sel.(i) * stride))))
+  done;
   !acc
 
-(* One 7-qubit block at word offset [off]: (has_x, has_z) words of the
-   post-correction residual for all 64 shots.  The 64 syndrome
-   minterms are disjoint, so the decoder contribution is an OR-mux. *)
-let classify_block tbl x z off =
-  let synd = Array.map (parity_sel x z off) tbl.checks in
-  let px = parity_sel x z off tbl.lz
-  and pz = parity_sel x z off tbl.lx in
+(* Per-worker classifier scratch: the 6 syndrome words of the block
+   being classified, and the (has_x, has_z) words of the blocks of
+   each level — level [l]'s 7 blocks at words [7 * (l - 1) ..] of
+   [sx]/[sz] for l < level — then the top block's at word
+   [top = 7 * (level - 1)]. *)
+type scratch = { synd : W.t; sx : W.t; sz : W.t; top : int }
+
+let scratch ~level =
+  let top = 7 * (level - 1) in
+  { synd = W.create 6; sx = W.create (top + 1); sz = W.create (top + 1); top }
+
+(* One 7-qubit block at [base]/[stride]: (has_x, has_z) words of the
+   post-correction residual for all 64 shots, into word [at] of
+   [sc.sx]/[sc.sz].  The 64 syndrome minterms are disjoint, so the
+   decoder contribution is an OR-mux. *)
+let classify_block tbl sc x z ~base ~stride ~at =
+  for i = 0 to Array.length tbl.checks - 1 do
+    W.set sc.synd (8 * i) (parity_sel x z ~base ~stride tbl.checks.(i))
+  done;
   let muxx = ref 0L and muxz = ref 0L in
   for s = 0 to 63 do
     if tbl.ax.(s) || tbl.az.(s) then begin
       let m = ref (-1L) in
       for i = 0 to 5 do
-        m :=
-          Int64.logand !m
-            (if (s lsr i) land 1 = 1 then synd.(i) else Int64.lognot synd.(i))
+        let w = W.get sc.synd (8 * i) in
+        m := Int64.logand !m (if (s lsr i) land 1 = 1 then w else Int64.lognot w)
       done;
       if tbl.ax.(s) then muxx := Int64.logor !muxx !m;
       if tbl.az.(s) then muxz := Int64.logor !muxz !m
     end
   done;
-  (Int64.logxor px !muxx, Int64.logxor pz !muxz)
+  W.set sc.sx (8 * at) (Int64.logxor (parity_sel x z ~base ~stride tbl.lz) !muxx);
+  W.set sc.sz (8 * at) (Int64.logxor (parity_sel x z ~base ~stride tbl.lx) !muxz)
 
 let rec pow7 = function 0 -> 1 | l -> 7 * pow7 (l - 1)
 
 (* Hierarchical decode, all 64 shots at once: each inner block's
-   (has_x, has_z) words become one outer qubit's plane words. *)
-let rec classify_words tbl ~level x z off =
-  if level = 1 then classify_block tbl x z off
+   (has_x, has_z) words become one outer qubit's plane words, at level
+   [level - 1]'s slots of the scratch. *)
+let rec classify_words tbl sc ~level x z ~base ~stride ~at =
+  if level = 1 then classify_block tbl sc x z ~base ~stride ~at
   else begin
-    let sub = pow7 (level - 1) in
-    let bx = Array.make 7 0L and bz = Array.make 7 0L in
+    let sub = pow7 (level - 1) and slots = 7 * (level - 2) in
     for b = 0 to 6 do
-      let hx, hz = classify_words tbl ~level:(level - 1) x z (off + (b * sub)) in
-      bx.(b) <- hx;
-      bz.(b) <- hz
+      classify_words tbl sc ~level:(level - 1) x z
+        ~base:(base + (b * sub * stride))
+        ~stride ~at:(slots + b)
     done;
-    classify_block tbl bx bz 0
+    classify_block tbl sc sc.sx sc.sz ~base:slots ~stride:1 ~at
   end
 
 let run_memory_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
@@ -283,26 +303,25 @@ let run_memory_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
   let tbl = Mc.Once.force steane_tables in
   let qubits = Array.init n Fun.id in
   let prog = Program.make ~n [ Program.Depolarize { qubits; px; py; pz } ] in
-  let batch (plane, xs, zs, fail) keys ~base:_ ~count =
+  let batch (plane, sc, fail) keys ~base:_ ~count =
     let sampler = Sampler.create_tile keys in
     (match engine with
     | `Batch ->
-      Array.fill fail 0 (2 * lanes) 0L;
-      (* fail.(j) accumulates has_x, fail.(lanes + j) has_z *)
+      W.fill fail 0 (2 * lanes) 0L;
+      (* word j of [fail] accumulates has_x, word lanes + j has_z *)
       for _ = 1 to rounds do
         Plane.clear plane;
-        Program.run_into prog sampler plane [||];
+        Program.run_words prog sampler plane W.empty;
         for j = 0 to lanes - 1 do
-          for q = 0 to n - 1 do
-            xs.(q) <- Plane.get_x ~lane:j plane q;
-            zs.(q) <- Plane.get_z ~lane:j plane q
-          done;
-          let hx, hz = classify_words tbl ~level xs zs 0 in
-          fail.(j) <- Int64.logxor fail.(j) hx;
-          fail.(lanes + j) <- Int64.logxor fail.(lanes + j) hz
+          classify_words tbl sc ~level (Plane.x_words plane) (Plane.z_words plane)
+            ~base:j ~stride:lanes ~at:sc.top;
+          let ox = 8 * j and oz = 8 * (lanes + j) in
+          W.set fail ox (Int64.logxor (W.get fail ox) (W.get sc.sx (8 * sc.top)));
+          W.set fail oz (Int64.logxor (W.get fail oz) (W.get sc.sz (8 * sc.top)))
         done
       done;
-      Array.init lanes (fun j -> Int64.logor fail.(j) fail.(lanes + j))
+      Array.init lanes (fun j ->
+          Int64.logor (W.get fail (8 * j)) (W.get fail (8 * (lanes + j))))
     | `Scalar ->
       (* Cross-check engine: the identical sampler call sequence (so
          the identical noise), but each shot is extracted and run
@@ -311,7 +330,7 @@ let run_memory_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
       let cls = Array.make tile_width L_i in
       for _ = 1 to rounds do
         Plane.clear plane;
-        Program.run_into prog sampler plane [||];
+        Program.run_words prog sampler plane W.empty;
         for k = 0 to count - 1 do
           let e = Plane.extract_shot plane k in
           cls.(k) <- compose cls.(k) (concatenated_steane_class ~level e)
@@ -331,10 +350,7 @@ let run_memory_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
     ~trials ~seed
     (Mc.Runner.model
        ~worker_init:(fun () ->
-         ( Plane.create ~width:tile_width n,
-           Array.make n 0L,
-           Array.make n 0L,
-           Array.make (2 * lanes) 0L ))
+         (Plane.create ~width:tile_width n, scratch ~level, W.create (2 * lanes)))
        ~batch ())
 
 let memory_failure_batch ?domains ?obs ?engine ?tile_width ~level ~eps ~rounds

@@ -18,8 +18,9 @@
     - {!Statevec}: exact state-vector simulation (≤ ~20 qubits).
     - {!Tableau}: stabilizer (Aaronson–Gottesman) simulation.
     - {!Frame}: bit-sliced Pauli-frame batch engine — 64 Monte-Carlo
-      shots per machine word, word-sampled noise, compiled frame
-      programs (the fast path behind the [_batch] drivers).
+      shots per machine word, held in unboxed word vectors
+      ({!Mc.Words}), word-sampled noise, compiled frame programs (the
+      fast path behind the [_batch] drivers).
     - {!Codes}: Hamming, Steane, Shor-9, 5-qubit, CSS, concatenation.
     - {!Csskit}: the generic CSS pipeline — parity-check matrices in;
       validated construction, distance probe, decoder, word-wise

@@ -3,6 +3,7 @@ module Code = Codes.Stabilizer_code
 module Plane = Frame.Plane
 module Sampler = Frame.Sampler
 module Program = Frame.Program
+module W = Mc.Words
 
 type engine = [ `Batch | `Scalar ]
 
@@ -104,27 +105,26 @@ let compile (t : Kit.t) =
     mode;
   }
 
-let parity_sel (x : int64 array) (z : int64 array) (c : Program.check) =
-  let acc = ref 0L in
-  for i = 0 to Array.length c.x_sel - 1 do
-    acc := Int64.logxor !acc x.(c.x_sel.(i))
-  done;
-  for i = 0 to Array.length c.z_sel - 1 do
-    acc := Int64.logxor !acc z.(c.z_sel.(i))
-  done;
-  !acc
+(* Word [i * lanes + lane] of a row-major buffer, as a byte offset. *)
+let[@inline] row i ~lanes lane = 8 * ((i * lanes) + lane)
 
+(* The 64 decoder-flip bits of [slot], gathered as two 32-shot halves
+   in native ints. *)
+let[@inline] flip_word flips ~slots slot =
+  Int64.logor
+    (Int64.of_int flips.(slot))
+    (Int64.shift_left (Int64.of_int flips.(slots + slot)) 32)
+
+(* Word buffers are unboxed (Mc.Words), row-major like the plane. *)
 type worker = {
   plane : Plane.t;
-  xs : int64 array;  (* one lane's X plane, word per qubit *)
-  zs : int64 array;
-  synd : int64 array;  (* m syndrome words for the current lane *)
-  shots : int64 array;  (* Sides: the lane's syndromes, one word per shot *)
+  rows : W.t;  (* extract rows: m syndromes, k <e, Lz_j>, k <e, Lx_j> *)
+  shots : W.t;  (* Sides: one lane's syndromes, one word per shot *)
   flips : int array;  (* Sides: 2(2k + 1) half-lane words *)
-  decx : int64 array;  (* per-logical decoder-contribution words *)
-  decz : int64 array;
-  accx : int64 array;  (* k * lanes accumulated has_x words *)
-  accz : int64 array;
+  decx : W.t;  (* per-logical decoder-contribution words *)
+  decz : W.t;
+  accx : W.t;  (* k * lanes accumulated has_x words *)
+  accz : W.t;
   memo : (string, (bool array * bool array) option) Hashtbl.t;  (* per worker *)
   sbx : bool array;  (* scalar cross-check: tile_width * k residual bits *)
   sbz : bool array;
@@ -141,32 +141,28 @@ let memory_failure_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
   let cmp = compile t in
   let dec = Kit.decoder t in
   let p = eps /. 3.0 in
+  let m = cmp.m in
+  (* the extract rows are the syndrome bits, then the error's logical
+     parities; extraction draws nothing, so the noise is unchanged *)
   let prog =
     Program.make ~n
-      [ Program.Depolarize { qubits = Array.init n Fun.id; px = p; py = p; pz = p } ]
+      [ Program.Depolarize { qubits = Array.init n Fun.id; px = p; py = p; pz = p };
+        Program.Extract (Array.concat [ cmp.checks; cmp.lzs; cmp.lxs ]) ]
   in
   let classify_lane w lane =
-    (* syndrome words for this lane *)
-    for q = 0 to n - 1 do
-      w.xs.(q) <- Plane.get_x ~lane w.plane q;
-      w.zs.(q) <- Plane.get_z ~lane w.plane q
-    done;
-    for i = 0 to cmp.m - 1 do
-      w.synd.(i) <- parity_sel w.xs w.zs cmp.checks.(i)
-    done;
     let undecodable =
       match cmp.mode with
       | Sides { nz; nx; tables = { x_flips; z_flips } } ->
-        (* shots.(b) = shot b's syndrome word, Z-generator bits low; the
-           flips are gathered as 32-shot halves in native ints (slot j:
-           X side vs logical j, slot k + j: Z side, slot 2k: undecodable) *)
-        Plane.transpose_rows ~src:w.synd ~lanes:1 ~lane:0 ~pos:0 ~nrows:cmp.m
-          w.shots;
+        (* word b of [shots] = shot b's syndrome word, Z-generator bits
+           low; the flips are gathered as 32-shot halves in native ints
+           (slot j: X side vs logical j, slot k + j: Z side, slot 2k:
+           undecodable) *)
+        Plane.transpose_words ~src:w.rows ~lanes ~lane ~pos:0 ~nrows:m w.shots;
         let zmask = (1 lsl nz) - 1 and xmask = (1 lsl nx) - 1 in
         let slots = (2 * k) + 1 in
         Array.fill w.flips 0 (2 * slots) 0;
         for b = 0 to 63 do
-          let s = Int64.to_int w.shots.(b) in
+          let s = Int64.to_int (W.get w.shots (8 * b)) in
           let fx = x_flips.(s land zmask) and fz = z_flips.((s lsr nz) land xmask) in
           let half = if b < 32 then 0 else slots and bit = 1 lsl (b land 31) in
           if fx = Kit.undecodable || fz = Kit.undecodable then
@@ -179,22 +175,17 @@ let memory_failure_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
                 w.flips.(half + k + j) <- w.flips.(half + k + j) lor bit
             done
         done;
-        let word slot =
-          Int64.logor
-            (Int64.of_int w.flips.(slot))
-            (Int64.shift_left (Int64.of_int w.flips.(slots + slot)) 32)
-        in
         for j = 0 to k - 1 do
-          w.decx.(j) <- word j;
-          w.decz.(j) <- word (k + j)
+          W.set w.decx (8 * j) (flip_word w.flips ~slots j);
+          W.set w.decz (8 * j) (flip_word w.flips ~slots (k + j))
         done;
-        word (2 * k)
+        flip_word w.flips ~slots (2 * k)
       | Memo ->
-        Array.fill w.decx 0 k 0L;
-        Array.fill w.decz 0 k 0L;
+        W.fill w.decx 0 k 0L;
+        W.fill w.decz 0 k 0L;
         let u = ref 0L in
         for b = 0 to 63 do
-          let sv = Plane.shot_vec w.synd b in
+          let sv = Plane.row_shot_words w.rows ~lanes ~lane ~pos:0 ~len:m b in
           let key = Bitvec.to_string sv in
           let cls =
             match Hashtbl.find_opt w.memo key with
@@ -209,33 +200,39 @@ let memory_failure_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
           | None -> u := Int64.logor !u bit
           | Some (jx, jz) ->
             for j = 0 to k - 1 do
-              if jx.(j) then w.decx.(j) <- Int64.logor w.decx.(j) bit;
-              if jz.(j) then w.decz.(j) <- Int64.logor w.decz.(j) bit
+              let o = 8 * j in
+              if jx.(j) then W.set w.decx o (Int64.logor (W.get w.decx o) bit);
+              if jz.(j) then W.set w.decz o (Int64.logor (W.get w.decz o) bit)
             done
         done;
         !u
     in
     let decodable = Int64.lognot undecodable in
     for j = 0 to k - 1 do
-      let px = parity_sel w.xs w.zs cmp.lzs.(j)
-      and pz = parity_sel w.xs w.zs cmp.lxs.(j) in
-      let slot = (j * lanes) + lane in
-      let hit p dec =
-        Int64.logor (Int64.logand (Int64.logxor p dec) decodable) undecodable
-      in
-      w.accx.(slot) <- Int64.logxor w.accx.(slot) (hit px w.decx.(j));
-      w.accz.(slot) <- Int64.logxor w.accz.(slot) (hit pz w.decz.(j))
+      (* a hit: the error's parity XOR the decoder's flip on decodable
+         shots, and every undecodable shot *)
+      let px = W.get w.rows (row (m + j) ~lanes lane)
+      and pz = W.get w.rows (row (m + k + j) ~lanes lane) in
+      let hx = Int64.logxor px (W.get w.decx (8 * j))
+      and hz = Int64.logxor pz (W.get w.decz (8 * j)) in
+      let slot = row j ~lanes lane in
+      W.set w.accx slot
+        (Int64.logxor (W.get w.accx slot)
+           (Int64.logor (Int64.logand hx decodable) undecodable));
+      W.set w.accz slot
+        (Int64.logxor (W.get w.accz slot)
+           (Int64.logor (Int64.logand hz decodable) undecodable))
     done
   in
   let batch w keys ~base:_ ~count =
     let sampler = Sampler.create_tile keys in
     match engine with
     | `Batch ->
-      Array.fill w.accx 0 (k * lanes) 0L;
-      Array.fill w.accz 0 (k * lanes) 0L;
+      W.fill w.accx 0 (k * lanes) 0L;
+      W.fill w.accz 0 (k * lanes) 0L;
       for _ = 1 to rounds do
         Plane.clear w.plane;
-        Program.run_into prog sampler w.plane [||];
+        Program.run_words prog sampler w.plane w.rows;
         for lane = 0 to lanes - 1 do
           classify_lane w lane
         done
@@ -243,9 +240,10 @@ let memory_failure_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
       Array.init lanes (fun lane ->
           let word = ref 0L in
           for j = 0 to k - 1 do
-            let slot = (j * lanes) + lane in
+            let slot = row j ~lanes lane in
             word :=
-              Int64.logor !word (Int64.logor w.accx.(slot) w.accz.(slot))
+              Int64.logor !word
+                (Int64.logor (W.get w.accx slot) (W.get w.accz slot))
           done;
           !word)
     | `Scalar ->
@@ -257,7 +255,7 @@ let memory_failure_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
       Array.fill w.sbz 0 (tile_width * k) false;
       for _ = 1 to rounds do
         Plane.clear w.plane;
-        Program.run_into prog sampler w.plane [||];
+        Program.run_words prog sampler w.plane w.rows;
         for shot = 0 to count - 1 do
           let e = Plane.extract_shot w.plane shot in
           residual_into t dec e ~off:(shot * k) w.sbx w.sbz
@@ -281,15 +279,13 @@ let memory_failure_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64)
        ~worker_init:(fun () ->
          {
            plane = Plane.create ~width:tile_width n;
-           xs = Array.make n 0L;
-           zs = Array.make n 0L;
-           synd = Array.make (max cmp.m 1) 0L;
-           shots = Array.make 64 0L;
+           rows = W.create (Program.out_words prog * lanes);
+           shots = W.create ((m + 63) / 64 * 64);
            flips = Array.make (2 * ((2 * k) + 1)) 0;
-           decx = Array.make k 0L;
-           decz = Array.make k 0L;
-           accx = Array.make (k * lanes) 0L;
-           accz = Array.make (k * lanes) 0L;
+           decx = W.create k;
+           decz = W.create k;
+           accx = W.create (k * lanes);
+           accz = W.create (k * lanes);
            memo = Hashtbl.create 64;
            sbx = Array.make (tile_width * k) false;
            sbz = Array.make (tile_width * k) false;

@@ -6,7 +6,7 @@
    against a Sampler and a Plane executes one whole tile —
    [Plane.width] shots — at once; the extracted syndrome tiles
    transpose to per-shot bitstrings for the existing (scalar) decoders
-   via Plane.shot_vec / Plane.transpose_rows. *)
+   via Plane.row_shot_words / Plane.transpose_words. *)
 
 (* Syndrome bit of generator g on error e = x(e)·z(g) ⊕ z(e)·x(g):
    [x_sel] lists the qubits read from the X plane (the support of
@@ -83,15 +83,15 @@ let make ~n ops =
 let num_qubits t = t.n
 let out_words t = t.out_words
 
-(* [out] is row-major like the plane: check [i]'s tile occupies
-   [out.(i * lanes .. i * lanes + lanes - 1)]. *)
-let run_into t sampler plane out =
+(* [out] is row-major like the plane: check [i]'s tile occupies words
+   [i * lanes .. i * lanes + lanes - 1]. *)
+let run_words t sampler plane out =
   if Plane.num_qubits plane <> t.n then
     invalid_arg "Frame.Program.run: plane size mismatch";
   let lanes = Plane.lanes plane in
   if Sampler.lanes sampler <> lanes then
     invalid_arg "Frame.Program.run: sampler/plane lane mismatch";
-  if Array.length out < t.out_words * lanes then
+  if Mc.Words.length out < t.out_words * lanes then
     invalid_arg "Frame.Program.run: output buffer too small";
   let pos = ref 0 in
   Array.iter
@@ -105,12 +105,15 @@ let run_into t sampler plane out =
       | C_extract cs ->
         Array.iter
           (fun { x_sel; z_sel } ->
-            Plane.parity_check_into plane ~x_sel ~z_sel out (!pos * lanes);
+            Plane.parity_check_words plane ~x_sel ~z_sel out (!pos * lanes);
             incr pos)
           cs)
     t.cops
 
-let run t sampler plane =
-  let out = Array.make (t.out_words * Plane.lanes plane) 0L in
-  run_into t sampler plane out;
-  out
+let run_into t sampler plane out =
+  let len = t.out_words * Plane.lanes plane in
+  if Array.length out < len then
+    invalid_arg "Frame.Program.run: output buffer too small";
+  let words = Mc.Words.create len in
+  run_words t sampler plane words;
+  Mc.Words.blit_to_array words 0 out 0 len

@@ -7,9 +7,9 @@
     {!run} executes one whole tile — [Plane.width] shots — at once
     against a {!Sampler} and a {!Plane}; each [Extract] appends one
     syndrome tile per check ([lanes] words, bit [k] of lane [j] =
-    tile shot [64·j + k]), which {!Plane.shot_vec} /
-    {!Plane.transpose_rows} transpose to per-shot bitstrings for the
-    existing decoders. *)
+    tile shot [64·j + k]) to an unboxed {!Mc.Words} buffer, which
+    {!Plane.row_shot_words} / {!Plane.transpose_words} transpose to
+    per-shot bitstrings for the existing decoders. *)
 
 (** One syndrome bit: parity of the X plane over [x_sel] XOR parity of
     the Z plane over [z_sel]. *)
@@ -40,13 +40,14 @@ val num_qubits : t -> int
     [Plane.lanes plane] words in the output buffer). *)
 val out_words : t -> int
 
-(** [run t sampler plane] — execute all ops in order (the plane is
-    *not* cleared first, so multi-round drivers can accumulate);
-    returns the extracted syndrome tiles, row-major (check [i]'s
-    lane [j] at index [i * lanes + j]). *)
-val run : t -> Sampler.t -> Plane.t -> int64 array
-
-(** [run_into t sampler plane out] — as {!run}, into a caller buffer
-    (first [out_words t * Plane.lanes plane] slots).  The sampler's
+(** [run_words t sampler plane out] — execute all ops in order (the
+    plane is *not* cleared first, so multi-round drivers can
+    accumulate), writing the extracted syndrome tiles into [out],
+    row-major (check [i]'s lane [j] is word [i * lanes + j]; the
+    first [out_words t * Plane.lanes plane] words).  The sampler's
     lane count must match the plane's. *)
+val run_words : t -> Sampler.t -> Plane.t -> Mc.Words.t -> unit
+
+(** [run_into t sampler plane out] — {!run_words} into an
+    [int64 array] (a conversion, for callers that hold one). *)
 val run_into : t -> Sampler.t -> Plane.t -> int64 array -> unit

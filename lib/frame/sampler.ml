@@ -79,13 +79,14 @@ let word key pos (pl : plan) =
 
 let bernoulli_plan_into t pl dst off =
   for j = 0 to Array.length t.keys - 1 do
-    dst.(off + j) <- word t.keys.(j) t.pos pl
+    Mc.Words.set dst (8 * (off + j)) (word t.keys.(j) t.pos pl)
   done;
   t.pos <- t.pos + plan_draws pl
 
 (* Whole-op noise injection: one fresh word per row of [sel] (in order)
-   XORed into [dst] at [sel.(i) * stride], each lane's words in one
-   bulk Rng call — the hot path of compiled [Flip_x]/[Flip_z] ops. *)
+   XORed into word [sel.(i) * stride + j] of [dst], each lane's words
+   in one bulk Rng call — the hot path of compiled [Flip_x]/[Flip_z]
+   ops. *)
 let bernoulli_plan_xor_sel t pl dst ~sel ~stride =
   let pos = t.pos in
   for j = 0 to Array.length t.keys - 1 do

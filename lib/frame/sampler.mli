@@ -54,16 +54,16 @@ val plan : float -> plan
 val plan_draws : plan -> int
 
 (** [bernoulli_plan_into t pl dst off] — one Bernoulli word per lane:
-    [dst.(off + j)] receives lane [j]'s word. *)
-val bernoulli_plan_into : t -> plan -> int64 array -> int -> unit
+    word [off + j] of [dst] receives lane [j]'s word. *)
+val bernoulli_plan_into : t -> plan -> Mc.Words.t -> int -> unit
 
 (** [bernoulli_plan_xor_sel t pl dst ~sel ~stride] — whole-op noise
     injection: for each row [i] of [sel] in order, one fresh word per
-    lane [j] is XORed into [dst.(sel.(i) * stride + j)], each lane's
-    words drawn in one bulk [Mc.Rng] call — the hot path of compiled
-    [Flip_x]/[Flip_z] ops. *)
+    lane [j] is XORed into word [sel.(i) * stride + j] of [dst], each
+    lane's words drawn in one bulk [Mc.Rng] call — the hot path of
+    compiled [Flip_x]/[Flip_z] ops. *)
 val bernoulli_plan_xor_sel :
-  t -> plan -> int64 array -> sel:int array -> stride:int -> unit
+  t -> plan -> Mc.Words.t -> sel:int array -> stride:int -> unit
 
 (** A compiled three-fold Pauli channel: per bit, X with probability
     [px], Y with [py] (both planes set), Z with [pz], identity
@@ -77,8 +77,8 @@ val pauli_plan : px:float -> py:float -> pz:float -> pauli_plan
 
 (** [pauli_plan_xor_sel t pp ~x ~z ~sel ~stride] — for each row [i] of
     [sel] in order, draw one word of Pauli errors per lane [j] and XOR
-    its X/Z planes into [x.(sel.(i) * stride + j)] /
-    [z.(sel.(i) * stride + j)]; one bulk [Mc.Rng] call per lane. *)
+    its X/Z planes into word [sel.(i) * stride + j] of [x] / [z]; one
+    bulk [Mc.Rng] call per lane. *)
 val pauli_plan_xor_sel :
-  t -> pauli_plan -> x:int64 array -> z:int64 array -> sel:int array ->
+  t -> pauli_plan -> x:Mc.Words.t -> z:Mc.Words.t -> sel:int array ->
   stride:int -> unit

@@ -75,9 +75,9 @@ let fold_digits_care k ~pos ~scaled ~start ~stop ~care =
 type plan = { scaled : int64; start : int; ones : int64 }
 
 (* Bulk Bernoulli: row [i] of [sel] folds positions
-   [pos + i * (stop - start) ..] and XORs [ones lor fold] into
-   [rows.(sel.(i) * stride + off)] — a whole Flip op of one lane in a
-   single call. *)
+   [pos + i * (stop - start) ..] and XORs [ones lor fold] into word
+   [sel.(i) * stride + off] of [rows] — a whole Flip op of one lane in
+   a single call, with no boxed word. *)
 let fold_digits_xor_sel k ~pos ~stop { scaled; start; ones } ~rows ~sel ~stride
     ~off =
   let draws = stop - start in
@@ -86,8 +86,8 @@ let fold_digits_xor_sel k ~pos ~stop { scaled; start; ones } ~rows ~sel ~stride
       Int64.logor ones
         (fold k ~pos:(pos + (i * draws)) ~scaled ~start ~stop ~care:(-1L))
     in
-    let idx = (sel.(i) * stride) + off in
-    rows.(idx) <- Int64.logxor rows.(idx) w
+    let b = 8 * ((sel.(i) * stride) + off) in
+    Words.set rows b (Int64.logxor (Words.get rows b) w)
   done
 
 (* Bulk Pauli: per row, e (an error fired), then hx (it has an X part)
@@ -117,9 +117,9 @@ let pauli_xor_sel k ~pos ~stop ~e ~hx ~y ~x ~z ~sel ~stride ~off =
              ~care:xw)
       in
       let zw = Int64.logand ew (Int64.logor (Int64.logand hw yw) (Int64.lognot hw)) in
-      let idx = (sel.(i) * stride) + off in
-      x.(idx) <- Int64.logxor x.(idx) xw;
-      z.(idx) <- Int64.logxor z.(idx) zw
+      let b = 8 * ((sel.(i) * stride) + off) in
+      Words.set x b (Int64.logxor (Words.get x b) xw);
+      Words.set z b (Int64.logxor (Words.get z b) zw)
     end
   done
 

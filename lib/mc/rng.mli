@@ -57,15 +57,15 @@ type plan = { scaled : int64; start : int; ones : int64 }
 
 (** [fold_digits_xor_sel k ~pos ~stop pl ~rows ~sel ~stride ~off] —
     for every [i], XOR plan [pl]'s word at positions
-    [pos + i * (stop - pl.start) ..] into
-    [rows.(sel.(i) * stride + off)]: one call injects a whole op's
+    [pos + i * (stop - pl.start) ..] into word
+    [sel.(i) * stride + off] of [rows]: one call injects a whole op's
     noise for one lane. *)
 val fold_digits_xor_sel :
   key ->
   pos:int ->
   stop:int ->
   plan ->
-  rows:int64 array ->
+  rows:Words.t ->
   sel:int array ->
   stride:int ->
   off:int ->
@@ -76,8 +76,8 @@ val fold_digits_xor_sel :
     fired), [hx] (it has an X part) and [y] (it is a Y), read at
     [pos + i * d], [+ de] and [+ de + dh] (each plan's [stop - start]
     draws; [d] their sum), give [x = e land hx] and
-    [z = e land ((hx land y) lor lnot hx)], XORed into
-    [x.(sel.(i) * stride + off)] and [z.(..)].  [hx] is folded only
+    [z = e land ((hx land y) lor lnot hx)], XORed into word
+    [sel.(i) * stride + off] of [x] and of [z].  [hx] is folded only
     where [e] is set and [y] only where [e land hx] is: the bits that
     x and z read, so the words equal the three full plan words
     combined. *)
@@ -88,8 +88,8 @@ val pauli_xor_sel :
   e:plan ->
   hx:plan ->
   y:plan ->
-  x:int64 array ->
-  z:int64 array ->
+  x:Words.t ->
+  z:Words.t ->
   sel:int array ->
   stride:int ->
   off:int ->

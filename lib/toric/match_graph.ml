@@ -116,7 +116,7 @@ let workspace g =
 
 (* First touch this call: a singleton root, its boundary the node's
    incidence run (descending edge order). *)
-let touch w v =
+let[@inline] touch w v =
   w.stamp.(v) <- w.gen;
   w.parent.(v) <- v;
   w.rank.(v) <- 0;
@@ -136,7 +136,7 @@ let touch w v =
   end
 
 (* Every node on a parent path was touched when it was linked. *)
-let find w v =
+let[@inline] find w v =
   if w.stamp.(v) <> w.gen then begin
     touch w v;
     v
@@ -178,7 +178,7 @@ let union w a b =
     w.head.(small) <- nil
   end
 
-let growth w e =
+let[@inline] growth w e =
   let s = w.edge.(e) in
   if s lsr 2 = w.gen then s land 3 else 0
 

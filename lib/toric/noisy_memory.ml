@@ -1,4 +1,5 @@
 module Bitvec = Gf2.Bitvec
+module W = Mc.Words
 
 type result = {
   l : int;
@@ -84,8 +85,8 @@ let run_mc ?domains ?obs ~l ~rounds ~p ~q ~trials ~seed () =
 
 (* The bit-sliced batch kernel, [tile_width / 64] words per tile, and
    the only toric one: plain memory ({!Memory.run_batch}) is its
-   one-round, q = 0 case.  Word buffers are row-major, row [i]'s lane
-   [j] at [i * lanes + j].
+   one-round, q = 0 case.  Word buffers are unboxed ({!Mc.Words}) and
+   row-major, row [i]'s lane [j] at word [i * lanes + j].
 
    Sampling is word-wise and shared verbatim by both engines (same
    sampler call sequence, so identical noise).  Each round flips
@@ -103,24 +104,23 @@ let run_mc ?domains ?obs ~l ~rounds ~p ~q ~trials ~seed () =
    the worker's {!Decoder.workspace}: on a small graph its shared
    syndrome table answers repeats and union-find the rest, with the
    same edges either way.  The selected spatial edges are XORed into
-   one correction word per qubit.  The residual (error plane XOR
-   corrections) must have zero syndrome on every live shot, and its
-   winding parity is the failure word.  A live [?obs] gets, per tile,
-   the shots and defect shots judged and the union-find calls made.
-   [`Scalar] re-runs every shot through the one-shot pipeline on
-   per-round snapshots of the same noise, so its counts equal
-   [`Batch]'s by construction. *)
+   one correction word per qubit.  The residual (the plane's error
+   words XOR corrections) must have zero syndrome on every live shot,
+   and its winding parity is the failure word.  A live [?obs] gets,
+   per tile, the shots and defect shots judged and the union-find
+   calls made.  [`Scalar] re-runs every shot through the one-shot
+   pipeline on per-round snapshots of the same noise, so its counts
+   equal [`Batch]'s by construction. *)
 type batch_ctx = {
   plane : Frame.Plane.t;
-  out : int64 array;  (* np rows: one round's syndrome *)
-  det : int64 array;  (* np*rounds rows: detection events ([out] at one round) *)
-  mw : int64 array;  (* np*rounds rows: measurement flips *)
-  prev : int64 array;  (* np rows: previous round's observed syndrome *)
-  acc : int64 array;  (* [`Scalar] only: nq*rounds rows, per-round errors *)
-  err : int64 array;  (* nq rows: the final error plane, copied on demand *)
-  tdet : int64 array;  (* one lane's detection rows, block-transposed *)
+  out : W.t;  (* np rows: one round's syndrome *)
+  det : W.t;  (* np*rounds rows: detection events ([out] at one round) *)
+  mw : W.t;  (* np*rounds rows: measurement flips *)
+  prev : W.t;  (* np rows: previous round's observed syndrome *)
+  acc : W.t;  (* [`Scalar] only: nq*rounds rows, per-round errors *)
+  tdet : W.t;  (* one lane's detection rows, block-transposed *)
   nodes : int array;  (* one shot's detection nodes *)
-  corr : int64 array;  (* one lane's correction, one word per qubit *)
+  corr : W.t;  (* one lane's correction, one word per qubit *)
   dec : Decoder.workspace;
   mutable defect_shots : int;  (* judged so far by this worker *)
 }
@@ -132,8 +132,8 @@ type batch_ctx = {
 let transpose_threshold = 3
 
 (* Index of the lowest set bit of a nonzero word (de Bruijn
-   multiplication).  This and [parity] are inlined so that their
-   int64 argument or result is not boxed on every call. *)
+   multiplication).  This, [bit] and [parity] are inlined so that
+   their int64 argument or result is not boxed on every call. *)
 let debruijn = 0x03f79d71b4ca8b09L
 
 let ctz_table =
@@ -150,10 +150,14 @@ let[@inline] ctz w =
                   (Int64.mul (Int64.logand w (Int64.neg w)) debruijn)
                   58))
 
-let[@inline] parity words sel =
+let[@inline] bit w k = Int64.logand (Int64.shift_right_logical w k) 1L <> 0L
+
+(* Parity of the rows [sel] of lane [lane] of a row-major buffer of
+   [lanes]-wide rows. *)
+let[@inline] parity words ~lanes ~lane sel =
   let acc = ref 0L in
   for i = 0 to Array.length sel - 1 do
-    acc := Int64.logxor !acc words.(sel.(i))
+    acc := Int64.logxor !acc (W.get words (8 * ((sel.(i) * lanes) + lane)))
   done;
   !acc
 
@@ -184,20 +188,21 @@ let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
   let sample ctx keys =
     let sampler = Frame.Sampler.create_tile keys in
     Frame.Plane.clear ctx.plane;
-    Array.fill ctx.prev 0 (np * lanes) 0L;
+    if rounds > 1 then W.fill ctx.prev 0 (np * lanes) 0L;
     for t = 0 to rounds - 1 do
-      Frame.Program.run_into round_prog sampler ctx.plane ctx.out;
+      Frame.Program.run_words round_prog sampler ctx.plane ctx.out;
       if snapshots then Frame.Plane.blit_x ctx.plane ctx.acc (t * nq * lanes);
       if rounds > 1 then
         for i = 0 to np - 1 do
           let row = i * lanes and r = ((t * np) + i) * lanes in
           if t < rounds - 1 && q > 0.0 then
             Frame.Sampler.bernoulli_plan_into sampler qplan ctx.mw r
-          else Array.fill ctx.mw r lanes 0L;
+          else W.fill ctx.mw r lanes 0L;
           for j = 0 to lanes - 1 do
-            let observed = Int64.logxor ctx.out.(row + j) ctx.mw.(r + j) in
-            ctx.det.(r + j) <- Int64.logxor observed ctx.prev.(row + j);
-            ctx.prev.(row + j) <- observed
+            let o = 8 * (row + j) and d = 8 * (r + j) in
+            let observed = Int64.logxor (W.get ctx.out o) (W.get ctx.mw d) in
+            W.set ctx.det d (Int64.logxor observed (W.get ctx.prev o));
+            W.set ctx.prev o observed
           done
         done
     done
@@ -206,7 +211,7 @@ let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
   let transposed_nodes ctx b =
     let count = ref 0 in
     for d = 0 to nblocks - 1 do
-      let w = ref ctx.tdet.((d * 64) + b) in
+      let w = ref (W.get ctx.tdet (8 * ((d * 64) + b))) in
       while !w <> 0L do
         ctx.nodes.(!count) <- (d * 64) + ctz !w;
         incr count;
@@ -218,21 +223,22 @@ let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
   let probed_nodes ctx ~lane b =
     let count = ref 0 in
     for r = 0 to nrows - 1 do
-      if Frame.Plane.bit ctx.det.((r * lanes) + lane) b then begin
+      if bit (W.get ctx.det (8 * ((r * lanes) + lane))) b then begin
         ctx.nodes.(!count) <- r;
         incr count
       end
     done;
     !count
   in
-  let judge_lane ctx loaded ~live j =
+  let judge_lane ctx ~live j =
     let any = ref 0L in
     for r = 0 to nrows - 1 do
-      any := Int64.logor !any ctx.det.((r * lanes) + j)
+      any := Int64.logor !any (W.get ctx.det (8 * ((r * lanes) + j)))
     done;
     let any = !any in
-    let wx = Frame.Plane.parity_x ~lane:j ctx.plane wx_sel
-    and wy = Frame.Plane.parity_x ~lane:j ctx.plane wy_sel in
+    let err = Frame.Plane.x_words ctx.plane in
+    let wx = parity err ~lanes ~lane:j wx_sel
+    and wy = parity err ~lanes ~lane:j wy_sel in
     let clean = Int64.logand (Int64.logor wx wy) (Int64.lognot any) in
     let mask = Mc.Runner.live_mask (max live 0) in
     let todo = Int64.logand any mask in
@@ -242,10 +248,10 @@ let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
       ctx.defect_shots <- ctx.defect_shots + n_todo;
       let transposed = n_todo >= transpose_threshold in
       if transposed then
-        Frame.Plane.transpose_rows ~src:ctx.det ~lanes ~lane:j ~pos:0 ~nrows
+        Frame.Plane.transpose_words ~src:ctx.det ~lanes ~lane:j ~pos:0 ~nrows
           ctx.tdet;
       let corr = ctx.corr in
-      Array.fill corr 0 nq 0L;
+      W.fill corr 0 nq 0L;
       let rest = ref todo in
       while !rest <> 0L do
         let b = ctz !rest in
@@ -258,23 +264,23 @@ let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
         let sel = Decoder.selected ctx.dec and m = Int64.shift_left 1L b in
         for i = 0 to s - 1 do
           let qb = st.Decoder.qubit.(sel.(i)) in
-          if qb >= 0 then corr.(qb) <- Int64.logxor corr.(qb) m
+          if qb >= 0 then W.set corr (8 * qb) (Int64.logxor (W.get corr (8 * qb)) m)
         done
       done;
       (* corr becomes the residual *)
-      if not !loaded then begin
-        Frame.Plane.blit_x ctx.plane ctx.err 0;
-        loaded := true
-      end;
       for qb = 0 to nq - 1 do
-        corr.(qb) <- Int64.logxor corr.(qb) ctx.err.((qb * lanes) + j)
+        W.set corr (8 * qb)
+          (Int64.logxor (W.get corr (8 * qb)) (W.get err (8 * ((qb * lanes) + j))))
       done;
       let syn = ref 0L in
       for i = 0 to np - 1 do
-        syn := Int64.logor !syn (parity corr plaq.(i))
+        syn := Int64.logor !syn (parity corr ~lanes:1 ~lane:0 plaq.(i))
       done;
       assert (Int64.logand !syn mask = 0L);
-      let wound = Int64.logor (parity corr wx_sel) (parity corr wy_sel) in
+      let wound =
+        Int64.logor (parity corr ~lanes:1 ~lane:0 wx_sel)
+          (parity corr ~lanes:1 ~lane:0 wy_sel)
+      in
       Int64.logor clean (Int64.logand wound todo)
     end
   in
@@ -286,12 +292,12 @@ let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
       let defects = Array.make nrows false in
       for t = 0 to rounds - 1 do
         let error_t =
-          Frame.Plane.row_shot_vec ctx.acc ~lanes ~lane:j ~pos:(t * nq) ~len:nq
-            b
+          Frame.Plane.row_shot_words ctx.acc ~lanes ~lane:j ~pos:(t * nq)
+            ~len:nq b
         in
         let observed = Lattice.syndrome lat error_t in
         for i = 0 to np - 1 do
-          if Frame.Plane.bit ctx.mw.((((t * np) + i) * lanes) + j) b then
+          if bit (W.get ctx.mw (8 * ((((t * np) + i) * lanes) + j))) b then
             Bitvec.flip observed i
         done;
         for i = 0 to np - 1 do
@@ -301,8 +307,8 @@ let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
         Bitvec.blit ~src:observed prev
       done;
       let error =
-        Frame.Plane.row_shot_vec ctx.acc ~lanes ~lane:j ~pos:((rounds - 1) * nq)
-          ~len:nq b
+        Frame.Plane.row_shot_words ctx.acc ~lanes ~lane:j
+          ~pos:((rounds - 1) * nq) ~len:nq b
       in
       if fails lat ~error ~correction:(Decoder.decode_space_time lat st ~defects)
       then fail := Int64.logor !fail (Int64.shift_left 1L b)
@@ -314,11 +320,8 @@ let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
     let live j = min 64 (count - (64 * j)) in
     match engine with
     | `Batch ->
-      let loaded = ref false in
       let shots0 = ctx.defect_shots and uf0 = Decoder.uf_calls ctx.dec in
-      let fails =
-        Array.init lanes (fun j -> judge_lane ctx loaded ~live:(live j) j)
-      in
+      let fails = Array.init lanes (fun j -> judge_lane ctx ~live:(live j) j) in
       if Obs.enabled obs then begin
         Obs.add obs "toric.shots" count;
         Obs.add obs "toric.defect_shots" (ctx.defect_shots - shots0);
@@ -333,18 +336,17 @@ let run_batch ?domains ?(obs = Obs.none) ?campaign ?(engine = `Batch)
       ~trials ~seed
       (Mc.Runner.model
          ~worker_init:(fun () ->
-           let out = Array.make (np * lanes) 0L in
+           let out = W.create (np * lanes) in
            {
              plane = Frame.Plane.create ~width:tile_width nq;
              out;
-             det = (if rounds = 1 then out else Array.make (nrows * lanes) 0L);
-             mw = Array.make (nrows * lanes) 0L;
-             prev = Array.make (np * lanes) 0L;
-             acc = (if snapshots then Array.make (nq * rounds * lanes) 0L else [||]);
-             err = Array.make (nq * lanes) 0L;
-             tdet = Array.make (nblocks * 64) 0L;
+             det = (if rounds = 1 then out else W.create (nrows * lanes));
+             mw = W.create (nrows * lanes);
+             prev = W.create (np * lanes);
+             acc = (if snapshots then W.create (nq * rounds * lanes) else W.empty);
+             tdet = W.create (nblocks * 64);
              nodes = Array.make nrows 0;
-             corr = Array.make nq 0L;
+             corr = W.create nq;
              dec = Decoder.workspace st;
              defect_shots = 0;
            })

@@ -554,7 +554,10 @@ let prop_depolarize_oracle =
 
 let test_transpose_rows_bitwise () =
   (* word d of shot k must hold, at bit i, bit k of row 64·d + i (0
-     past nrows); transpose64 is the one-block case *)
+     past nrows), whether the rows and the result are int64 arrays
+     (transpose_rows) or word vectors transposed in place
+     (transpose_words); transpose64 and transpose_block are the
+     one-block case *)
   let rng = Random.State.make [| 5 |] in
   let bit = Frame.Plane.bit in
   List.iter
@@ -567,9 +570,14 @@ let test_transpose_rows_bitwise () =
           in
           let nblocks = (nrows + 63) / 64 in
           let dst = Array.make (nblocks * 64) 0L in
-          let ok = ref true in
+          (* one spare word past the end, so a stray store would show *)
+          let wdst = Mc.Words.create ((nblocks * 64) + 1) in
+          let ok = ref true and words_ok = ref true in
           for lane = 0 to lanes - 1 do
             Frame.Plane.transpose_rows ~src ~lanes ~lane ~pos ~nrows dst;
+            Mc.Words.fill wdst 0 (Mc.Words.length wdst) (-1L);
+            Frame.Plane.transpose_words ~src:(Mc.Words.of_array src) ~lanes ~lane
+              ~pos ~nrows wdst;
             for d = 0 to nblocks - 1 do
               for k = 0 to 63 do
                 let expect = ref 0L in
@@ -578,25 +586,39 @@ let test_transpose_rows_bitwise () =
                   if r < nrows && bit src.(((pos + r) * lanes) + lane) k then
                     expect := Int64.logor !expect (Int64.shift_left 1L i)
                 done;
-                if dst.((d * 64) + k) <> !expect then ok := false
+                if dst.((d * 64) + k) <> !expect then ok := false;
+                if Mc.Words.get wdst (8 * ((d * 64) + k)) <> !expect then
+                  words_ok := false
               done
-            done
+            done;
+            if Mc.Words.get wdst (8 * nblocks * 64) <> -1L then words_ok := false
           done;
           check
             (Printf.sprintf "transpose_rows bit by bit (lanes %d, nrows %d)" lanes nrows)
-            true !ok)
+            true !ok;
+          check
+            (Printf.sprintf "transpose_words bit by bit (lanes %d, nrows %d)" lanes
+               nrows)
+            true !words_ok)
         [ 1; 25; 63; 64; 65; 130 ])
     [ 1; 4 ];
   let a = Array.init 64 (fun _ -> Random.State.bits64 rng) in
   let t = Array.copy a in
   Frame.Plane.transpose64 t 0;
-  let ok = ref true in
+  let w = Mc.Words.create 66 in
+  Mc.Words.fill w 0 66 (-1L);
+  Array.iteri (fun i x -> Mc.Words.set w (8 * (i + 1)) x) a;
+  Frame.Plane.transpose_block w 1;
+  let ok = ref true and words_ok = ref true in
   for r = 0 to 63 do
     for c = 0 to 63 do
-      if bit a.(r) c <> bit t.(c) r then ok := false
+      if bit a.(r) c <> bit t.(c) r then ok := false;
+      if bit a.(r) c <> bit (Mc.Words.get w (8 * (c + 1))) r then words_ok := false
     done
   done;
-  check "transpose64 bit by bit" true !ok
+  if Mc.Words.get w 0 <> -1L || Mc.Words.get w (8 * 65) <> -1L then words_ok := false;
+  check "transpose64 bit by bit" true !ok;
+  check "transpose_block in place, bit by bit" true !words_ok
 
 (* --- NaN probabilities ------------------------------------------------ *)
 
@@ -627,8 +649,9 @@ let test_nan_probability_rejected () =
 (* Minor-heap words per shot of an estimate on one domain (the runner
    then runs every tile on the calling domain, so the count is exact
    and repeats); a first run forces tables and lazies.  This guards
-   the unboxed fold, transpose and parity loops, which no timing test
-   can. *)
+   the unboxed word buffers, fold, transpose and parity loops of the
+   three frame kernels, which no timing test can: a kernel that
+   stores its words boxed again reads several words per shot. *)
 let words_per_shot ~trials f =
   ignore (f ());
   let w0 = Gc.minor_words () in
@@ -637,21 +660,31 @@ let words_per_shot ~trials f =
 
 let test_kernel_allocation () =
   let trials = 16_384 in
+  let bound name words limit =
+    check (Printf.sprintf "%s: %.1f <= %g minor words per shot" name words limit)
+      true (words <= limit)
+  in
   let golay = Csskit.Zoo.get "golay23" in
-  let golay_words =
-    words_per_shot ~trials (fun () ->
-        Csskit.Memory.memory_failure_batch ~domains:1 ~tile_width:256 golay
-          ~eps:0.08 ~rounds:1 ~trials ~seed:11 ())
-  in
-  check (Printf.sprintf "golay23 w256: %.1f <= 16 minor words per shot" golay_words)
-    true (golay_words <= 16.0);
-  let toric_words =
-    words_per_shot ~trials (fun () ->
-        Toric.Memory.run_batch ~domains:1 ~tile_width:256 ~l:5 ~p:0.05 ~trials
-          ~seed:11 ())
-  in
-  check (Printf.sprintf "toric L5 w256: %.1f <= 24 minor words per shot" toric_words)
-    true (toric_words <= 24.0)
+  bound "golay23 w256"
+    (words_per_shot ~trials (fun () ->
+         Csskit.Memory.memory_failure_batch ~domains:1 ~tile_width:256 golay
+           ~eps:0.08 ~rounds:1 ~trials ~seed:11 ()))
+    3.0;
+  bound "toric L5 w256"
+    (words_per_shot ~trials (fun () ->
+         Toric.Memory.run_batch ~domains:1 ~tile_width:256 ~l:5 ~p:0.05 ~trials
+           ~seed:11 ()))
+    3.0;
+  bound "toric L3 p=2^-12 w512"
+    (words_per_shot ~trials (fun () ->
+         Toric.Memory.run_batch ~domains:1 ~tile_width:512 ~l:3 ~p:0x1p-12 ~trials
+           ~seed:11 ()))
+    1.0;
+  bound "steane L2 w64"
+    (words_per_shot ~trials (fun () ->
+         Codes.Pauli_frame.memory_failure_batch ~domains:1 ~tile_width:64 ~level:2
+           ~eps:0.01 ~rounds:1 ~trials ~seed:11 ()))
+    3.0
 
 (* --- Mc.Rng stream type ------------------------------------------------ *)
 
