@@ -7,7 +7,7 @@
       encoder/parser, machine-readable experiment manifests, and the
       opt-in [FTQC_PROGRESS] reporter.
     - {!Mc}: the shared Monte-Carlo engine — splittable deterministic
-      RNG streams, a parallel (OCaml 5 domains) map-reduce runner with
+      RNG streams, a parallel (OCaml 5 domains) chunk-loop runner with
       domain-count-invariant results, Wilson-interval estimators —
       instrumented behind an {!Obs.t} handle.
     - {!Gf2}: GF(2) linear algebra (bit vectors, matrices).

@@ -1,13 +1,18 @@
-(* Parallel Monte-Carlo map-reduce over OCaml 5 domains.
+(* Parallel Monte-Carlo chunk loop over OCaml 5 domains.
 
    Determinism contract: the trial range is cut into fixed-size chunks
    whose size depends only on [trials] (never on the domain count);
    chunk [c] always runs on the RNG stream [Rng.split root c]; chunk
-   results land in a per-chunk slot and are merged in chunk order
-   after all workers join.  Workers claim chunks from a shared atomic
-   cursor (a single-queue work-stealing discipline: idle domains
-   steal the next unclaimed chunk), so scheduling is dynamic but the
-   aggregate is bit-identical for any [domains].
+   counts land in a per-chunk slot and are summed after all workers
+   join.  Workers claim chunks from a shared atomic cursor (a
+   single-queue work-stealing discipline: idle domains steal the next
+   unclaimed chunk), so scheduling is dynamic but the aggregate is
+   bit-identical for any [domains].
+
+   Every engine runs through the one loop, [run_chunk_range]: an engine
+   only supplies a chunk body (see [body]) — the scalar engine a trial
+   loop, the batch engine one tile, the rare engine one weight class's
+   trial loop.
 
    Supervision rides the same contract: a retried chunk re-derives
    the same RNG stream, a chunk replayed from a checkpoint contributes
@@ -94,20 +99,57 @@ let retryable = function
   | Chunk_failed _ | Campaign.Interrupted _ -> false
   | _ -> true
 
-(* Per-run supervision bundle, generic in the accumulator so the
-   same chunk loop serves counting paths (with persistence) and
-   general map-reduce (supervision only). *)
-type 'acc sup = {
-  skip : int -> 'acc option;  (* chunk idx -> checkpointed result *)
-  record : int -> 'acc -> unit;  (* persist a freshly computed chunk *)
-  flush : unit -> unit;  (* force checkpoint to disk *)
-  file : string option;  (* resume token for Interrupted *)
+(* Per-run supervision bundle: the campaign job the run's chunk counts
+   persist to (if any store is set) and the watchdog/retry/chaos
+   controls. *)
+type sup = {
+  ledger : (Campaign.t * Campaign.job) option;
+  seed : int;  (* roots the retry-backoff jitter *)
   timeout : float;  (* per-chunk watchdog, seconds; 0 = off *)
   retries : int;
   backoff : float;  (* base retry delay, doubled per attempt *)
-  jitter : idx:int -> attempt:int -> float;  (* backoff multiplier *)
   chaos : Chaos.t;
 }
+
+(* Counting runs persist through the campaign store: explicit
+   [?campaign] first, else the ambient store set by the CLI. *)
+let counting_sup ?campaign ?chunk_timeout ?(retries = default_retries)
+    ?(backoff = default_backoff) ?(chaos = Chaos.none) ~engine ~seed ~trials
+    ~chunk () =
+  let timeout = Option.value chunk_timeout ~default:!ambient_chunk_timeout in
+  if timeout < 0.0 then invalid_arg "Mc.Runner: chunk_timeout must be >= 0";
+  if retries < 0 then invalid_arg "Mc.Runner: retries must be >= 0";
+  if backoff < 0.0 then invalid_arg "Mc.Runner: backoff must be >= 0";
+  let store =
+    match campaign with Some c -> Some c | None -> Campaign.current ()
+  in
+  let job =
+    { Campaign.label = Campaign.label (); engine; seed; trials; chunk }
+  in
+  { ledger = Option.map (fun s -> (s, job)) store;
+    seed;
+    timeout;
+    retries;
+    backoff;
+    chaos }
+
+let cached sup idx =
+  match sup.ledger with
+  | None -> None
+  | Some (store, job) -> Campaign.find store ~job ~chunk:idx
+
+let record sup idx failures =
+  match sup.ledger with
+  | None -> ()
+  | Some (store, job) -> Campaign.record store ~job ~chunk:idx ~failures
+
+let flush sup = Option.iter (fun (store, _) -> Campaign.flush store) sup.ledger
+
+(* in-memory stores ("" path) have no on-disk resume token *)
+let resume_token sup =
+  match sup.ledger with
+  | Some (store, _) when Campaign.file store <> "" -> Some (Campaign.file store)
+  | _ -> None
 
 (* Deterministic retry-backoff jitter: a factor in [0.5, 1.5) drawn
    from a stream split off the chunk's own key under a reserved tag,
@@ -123,58 +165,11 @@ let backoff_jitter ~seed ~idx ~attempt =
   in
   0.5 +. Rng.float (Rng.of_key key) 1.0
 
-let resolve_sup_args ?chunk_timeout ?(retries = default_retries)
-    ?(backoff = default_backoff) ?(chaos = Chaos.none) () =
-  let chunk_timeout =
-    match chunk_timeout with
-    | Some t -> t
-    | None -> !ambient_chunk_timeout
-  in
-  if chunk_timeout < 0.0 then
-    invalid_arg "Mc.Runner: chunk_timeout must be >= 0";
-  if retries < 0 then invalid_arg "Mc.Runner: retries must be >= 0";
-  if backoff < 0.0 then invalid_arg "Mc.Runner: backoff must be >= 0";
-  (chunk_timeout, retries, backoff, chaos)
-
-let plain_sup ~seed ~timeout ~retries ~backoff ~chaos =
-  { skip = (fun _ -> None);
-    record = (fun _ _ -> ());
-    flush = ignore;
-    file = None;
-    timeout;
-    retries;
-    backoff;
-    jitter = (fun ~idx ~attempt -> backoff_jitter ~seed ~idx ~attempt);
-    chaos }
-
-(* Counting paths persist through the campaign store: explicit
-   [?campaign] first, else the ambient store set by the CLI. *)
-let counting_sup ?campaign ~engine ~seed ~trials ~chunk ~timeout ~retries
-    ~backoff ~chaos () =
-  match
-    match campaign with Some c -> Some c | None -> Campaign.current ()
-  with
-  | None -> plain_sup ~seed ~timeout ~retries ~backoff ~chaos
-  | Some store ->
-    let job =
-      { Campaign.label = Campaign.label (); engine; seed; trials; chunk }
-    in
-    { skip = (fun idx -> Campaign.find store ~job ~chunk:idx);
-      record = (fun idx n -> Campaign.record store ~job ~chunk:idx ~failures:n);
-      flush = (fun () -> Campaign.flush store);
-      (* in-memory stores ("" path) have no on-disk resume token *)
-      file = (match Campaign.file store with "" -> None | f -> Some f);
-      timeout;
-      retries;
-      backoff;
-      jitter = (fun ~idx ~attempt -> backoff_jitter ~seed ~idx ~attempt);
-      chaos }
-
-(* Run one chunk attempt-by-attempt: chaos hooks fire first, the RNG
-   stream is re-derived from scratch on every attempt (so a retry is
-   bit-identical to a clean first run), and a cooperative deadline is
-   checked between trials.  Exhausted retries wrap the last exception
-   in [Chunk_failed]. *)
+(* Run one chunk attempt-by-attempt: chaos hooks fire first, the body
+   re-derives the RNG stream from scratch on every attempt (so a retry
+   is bit-identical to a clean first run) and checks the cooperative
+   deadline itself ([check_deadline]).  Exhausted retries wrap the
+   last exception in [Chunk_failed]. *)
 let supervised_attempts ~sup ~idx ~retried ~timeouts body =
   let rec attempt a =
     match
@@ -188,13 +183,14 @@ let supervised_attempts ~sup ~idx ~retried ~timeouts body =
       sup.chaos.Chaos.on_chunk_start ~chunk:idx ~attempt:a;
       body a deadline
     with
-    | acc -> acc
+    | n -> n
     | exception e when retryable e && a < sup.retries ->
       Atomic.incr retried;
       (match e with Chunk_timeout _ -> Atomic.incr timeouts | _ -> ());
       if sup.backoff > 0.0 then
         Unix.sleepf
-          (sup.backoff *. Float.of_int (1 lsl a) *. sup.jitter ~idx ~attempt:a);
+          (sup.backoff *. Float.of_int (1 lsl a)
+          *. backoff_jitter ~seed:sup.seed ~idx ~attempt:a);
       attempt (a + 1)
     | exception e when retryable e ->
       (match e with Chunk_timeout _ -> Atomic.incr timeouts | _ -> ());
@@ -209,6 +205,10 @@ let supervised_attempts ~sup ~idx ~retried ~timeouts body =
                | e -> Printexc.to_string e) })
   in
   attempt 0
+
+let check_deadline sup deadline =
+  if sup.timeout > 0.0 && Obs.now () > deadline then
+    raise (Chunk_timeout sup.timeout)
 
 (* ----------------------------------------------------------- tracing
 
@@ -278,7 +278,9 @@ let trace_chunk_id tr idx =
   | None -> ""
   | Some t -> Obs.Trace.span_id [ t.tr_id; "c" ^ string_of_int idx ]
 
-let trace_chunk tr ~w ~idx ~cid ~t0 ~cached ~ok =
+(* The chunk's span over [t0, t1]: the caller reads the clock once at
+   the chunk's end and shares that reading with its wall-time slot. *)
+let trace_chunk tr ~w ~idx ~cid ~t0 ~t1 ~cached ~ok =
   match tr with
   | None -> ()
   | Some t ->
@@ -290,7 +292,7 @@ let trace_chunk tr ~w ~idx ~cid ~t0 ~cached ~ok =
            else Printf.sprintf "chunk %d" idx);
         cat = "runner";
         start_s = t0;
-        dur_s = Obs.now () -. t0;
+        dur_s = t1 -. t0;
         args =
           (("chunk", Obs.Json.Int idx) :: ("worker", Obs.Json.Int w)
           :: (if cached then [ ("cached", Obs.Json.Bool true) ] else [])
@@ -299,7 +301,7 @@ let trace_chunk tr ~w ~idx ~cid ~t0 ~cached ~ok =
 (* Wrap a supervised-attempt body so each attempt (including the
    failing ones that trigger a retry) gets its own span under the
    chunk. *)
-let trace_attempts tr ~w ~idx:_ ~cid body =
+let trace_attempts tr ~w ~cid body =
   match tr with
   | None -> body
   | Some t ->
@@ -366,9 +368,30 @@ let record_run obs ~engine ~trials ~chunks ~workers ~wall_s ~warmup_s
         ("shots_per_s", Obs.Json.Float shots_per_s) ]
   end
 
-(* Run chunks [lo_chunk, hi_chunk) and return their accumulators in
-   chunk order.  [results] slots are written by at most one worker
-   each; Domain.join publishes them to the caller.
+(* -------------------------------------------------------- chunk loop *)
+
+(* What an engine computes for chunk [idx], as a failure count: [fast]
+   with no supervision hooks (the hot path: no clock reads, no hook
+   calls), or one supervised [attempt] that checks [deadline] and the
+   chaos hooks itself.  [warm] makes one discarded call on chunk [idx]
+   before the domains start. *)
+type 'ctx body = {
+  fast : 'ctx -> int -> int;
+  attempt : 'ctx -> int -> attempt:int -> deadline:float -> int;
+  warm : 'ctx -> int -> unit;
+}
+
+(* Count the failures of chunks [lo_chunk, hi_chunk).  Each chunk's
+   count lands in its own [counts] slot (-1 until the chunk is done),
+   written by one worker; Domain.join publishes the slots to the
+   caller.
+
+   Warm-up: shared lazy values inside engine code (code tables,
+   decoders) are not safe to force concurrently in OCaml 5, so before
+   a second domain starts, the body's [warm] call runs once on the
+   range's first chunk the checkpoint does not hold — forcing every
+   lazy that chunk touches.  A range the checkpoint holds entirely
+   computes nothing.
 
    Abnormal exits: workers stop claiming once a chunk has exhausted
    its retries (the first exception is kept, in-flight chunks drain)
@@ -376,11 +399,10 @@ let record_run obs ~engine ~trials ~chunks ~workers ~wall_s ~warmup_s
    checkpoint is flushed before the exception — [Chunk_failed] or
    [Campaign.Interrupted] — reaches the caller, so completed chunks
    survive. *)
-let run_chunk_range ~obs ~progress ~tr ~domains ~root ~chunk ~trials ~lo_chunk
-    ~hi_chunk ~sup ~engine_label ~worker_init ~trial ~init ~accum =
-  let n = hi_chunk - lo_chunk in
-  let results = Array.make (max n 0) init in
-  let done_ = Array.make (max n 0) false in
+let run_chunk_range ~obs ~progress ~tr ~domains ~chunk ~trials ~lo_chunk
+    ~hi_chunk ~sup ~engine_label ~worker_init body =
+  let n = max 0 (hi_chunk - lo_chunk) in
+  let counts = Array.make n (-1) in
   let abort : exn option Atomic.t = Atomic.make None in
   let resumed = Atomic.make 0 in
   let retried = Atomic.make 0 in
@@ -388,96 +410,68 @@ let run_chunk_range ~obs ~progress ~tr ~domains ~root ~chunk ~trials ~lo_chunk
   let instrument = Obs.enabled obs in
   let tracing = tr <> None in
   let t_start = if instrument then Obs.now () else 0.0 in
-  let chunk_times = if instrument then Array.make (max n 0) (-1.0) else [||] in
+  let chunk_times = if instrument then Array.make n (-1.0) else [||] in
   let range_trials =
-    if n <= 0 then 0
-    else min trials (hi_chunk * chunk) - (lo_chunk * chunk)
+    if n = 0 then 0 else min trials (hi_chunk * chunk) - (lo_chunk * chunk)
   in
-  let chaos_on = not (Chaos.is_none sup.chaos) in
-  let supervised = sup.timeout > 0.0 || chaos_on in
+  let supervised = sup.timeout > 0.0 || not (Chaos.is_none sup.chaos) in
   let process w ctx c =
     let idx = lo_chunk + c in
-    match sup.skip idx with
-    | Some acc ->
-      results.(c) <- acc;
-      done_.(c) <- true;
+    match cached sup idx with
+    | Some k ->
+      counts.(c) <- k;
       Atomic.incr resumed;
-      if tracing then
-        trace_chunk tr ~w ~idx ~cid:(trace_chunk_id tr idx) ~t0:(Obs.now ())
-          ~cached:true ~ok:true;
+      if tracing then begin
+        let now = Obs.now () in
+        trace_chunk tr ~w ~idx ~cid:(trace_chunk_id tr idx) ~t0:now ~t1:now
+          ~cached:true ~ok:true
+      end;
       Obs.Progress.step progress
     | None ->
-      let lo = idx * chunk and hi = min trials ((idx + 1) * chunk) in
       let t0 = if instrument || tracing then Obs.now () else 0.0 in
       let cid = if tracing then trace_chunk_id tr idx else "" in
-      let compute () =
-        if not supervised then begin
-          (* hot path: no deadline reads, no hook calls *)
-          let rng = Rng.to_state (Rng.split root idx) in
-          let acc = ref init in
-          for i = lo to hi - 1 do
-            acc := accum !acc (trial ctx rng i)
-          done;
-          !acc
-        end
-        else
-          supervised_attempts ~sup ~idx ~retried ~timeouts
-            (trace_attempts tr ~w ~idx ~cid (fun attempt deadline ->
-                 let rng = Rng.to_state (Rng.split root idx) in
-                 let acc = ref init in
-                 for i = lo to hi - 1 do
-                   if sup.timeout > 0.0 && Obs.now () > deadline then
-                     raise (Chunk_timeout sup.timeout);
-                   if chaos_on then
-                     sup.chaos.Chaos.on_trial ~chunk:idx ~attempt ~trial:i;
-                   acc := accum !acc (trial ctx rng i)
-                 done;
-                 !acc))
-      in
-      (match compute () with
-      | acc ->
-        results.(c) <- acc;
-        done_.(c) <- true;
-        sup.record idx acc;
-        if instrument then chunk_times.(c) <- Obs.now () -. t0;
+      (match
+         if not supervised then body.fast ctx idx
+         else
+           supervised_attempts ~sup ~idx ~retried ~timeouts
+             (trace_attempts tr ~w ~cid (fun attempt deadline ->
+                  body.attempt ctx idx ~attempt ~deadline))
+       with
+      | k ->
+        counts.(c) <- k;
+        record sup idx k;
+        let t1 = if instrument || tracing then Obs.now () else 0.0 in
+        if instrument then chunk_times.(c) <- t1 -. t0;
         if tracing then
-          trace_chunk tr ~w ~idx ~cid ~t0 ~cached:false ~ok:true;
+          trace_chunk tr ~w ~idx ~cid ~t0 ~t1 ~cached:false ~ok:true;
         Obs.Progress.step progress
       | exception e ->
         if tracing then
-          trace_chunk tr ~w ~idx ~cid ~t0 ~cached:false ~ok:false;
+          trace_chunk tr ~w ~idx ~cid ~t0 ~t1:(Obs.now ()) ~cached:false
+            ~ok:false;
         raise e)
   in
   let should_stop () =
     Atomic.get abort <> None || Campaign.stop_requested ()
   in
-  let guarded w ctx c =
-    try process w ctx c
-    with e -> ignore (Atomic.compare_and_set abort None (Some e))
-  in
   let workers = min domains n in
   let claims = Array.make (max workers 1) (-1) in
   let warmup_s = ref 0.0 in
-  if workers <= 1 then begin
-    if n > 0 then begin
-      let ctx = worker_init () in
-      let c = ref 0 in
-      while !c < n && not (should_stop ()) do
-        guarded 0 ctx !c;
-        incr c
-      done;
-      claims.(0) <- !c
-    end
-  end
-  else begin
-    (* Shared lazy values inside user trial code (code tables,
-       decoders) are not safe to force concurrently in OCaml 5: run
-       one throwaway trial sequentially first so every lazy the trial
-       touches is already forced when the domains start. *)
-    let warm_ctx = worker_init () in
-    let t_warm = if instrument then Obs.now () else 0.0 in
-    ignore (trial warm_ctx (Rng.to_state (Rng.split root lo_chunk)) 0);
-    if instrument then warmup_s := Obs.now () -. t_warm;
+  if n > 0 then begin
+    let ctx0 = worker_init () in
+    if workers > 1 then begin
+      let rec first_open c =
+        if c = n then None
+        else if cached sup (lo_chunk + c) = None then Some (lo_chunk + c)
+        else first_open (c + 1)
+      in
+      Option.iter
+        (fun idx ->
+          let t_warm = if instrument then Obs.now () else 0.0 in
+          body.warm ctx0 idx;
+          if instrument then warmup_s := Obs.now () -. t_warm)
+        (first_open 0)
+    end;
     let cursor = Atomic.make 0 in
     let work w ctx =
       let mine = ref 0 in
@@ -485,7 +479,8 @@ let run_chunk_range ~obs ~progress ~tr ~domains ~root ~chunk ~trials ~lo_chunk
         if not (should_stop ()) then begin
           let c = Atomic.fetch_and_add cursor 1 in
           if c < n then begin
-            guarded w ctx c;
+            (try process w ctx c
+             with e -> ignore (Atomic.compare_and_set abort None (Some e)));
             incr mine;
             loop ()
           end
@@ -498,165 +493,53 @@ let run_chunk_range ~obs ~progress ~tr ~domains ~root ~chunk ~trials ~lo_chunk
       List.init (workers - 1) (fun w ->
           Domain.spawn (fun () -> work (w + 1) (worker_init ())))
     in
-    work 0 warm_ctx;
+    work 0 ctx0;
     List.iter Domain.join spawned
   end;
-  let completed = ref 0 in
-  Array.iter (fun d -> if d then incr completed) done_;
-  if !completed < n then begin
+  let completed =
+    Array.fold_left (fun k x -> if x >= 0 then k + 1 else k) 0 counts
+  in
+  if completed < n then begin
     (* abnormal exit: persist what we have, then raise *)
-    sup.flush ();
+    flush sup;
     match Atomic.get abort with
     | Some e -> raise e
     | None ->
       raise
         (Campaign.Interrupted
-           { completed = !completed; total = n; checkpoint = sup.file })
+           { completed; total = n; checkpoint = resume_token sup })
   end;
   (match Atomic.get abort with Some e -> raise e | None -> ());
   if instrument then
-    record_run obs ~engine:engine_label ~trials:range_trials ~chunks:(max n 0)
+    record_run obs ~engine:engine_label ~trials:range_trials ~chunks:n
       ~workers ~wall_s:(Obs.now () -. t_start) ~warmup_s:!warmup_s ~chunk_times
       ~claims ~resumed:(Atomic.get resumed) ~retried:(Atomic.get retried)
       ~timeouts:(Atomic.get timeouts);
-  results
+  Array.fold_left ( + ) 0 counts
 
-let map_reduce_sup ?(engine_label = "scalar") ~domains ~chunk ~obs ~trials
-    ~seed ~sup ~worker_init ~init ~accum ~merge trial =
+(* One engine run of [trials] in chunks of [chunk]: resolve the shared
+   controls, open the run's progress reporter and span, and hand [k]
+   the chunk count and a function counting the failures of chunks
+   [lo, hi).  [engine] keys the campaign job; [engine_label] names the
+   run in spans and metrics; [label] names its progress line. *)
+let count_run ?domains ?obs ?campaign ?chunk_timeout ?retries ?backoff ?chaos
+    ~engine ~engine_label ~label ~trials ~chunk ~seed ~worker_init body k =
   if trials < 0 then invalid_arg "Mc.Runner: trials must be >= 0";
+  let domains = resolve_domains domains in
+  let obs = resolve_obs obs in
+  let sup =
+    counting_sup ?campaign ?chunk_timeout ?retries ?backoff ?chaos ~engine
+      ~seed ~trials ~chunk ()
+  in
+  let body = body sup (Rng.root seed) in
   let nchunks = (trials + chunk - 1) / chunk in
-  let progress = Obs.Progress.create ~label:"mc" ~total:nchunks in
+  let progress = Obs.Progress.create ~label ~total:nchunks in
   let tr = trace_run ~engine_label ~seed ~trials ~chunk ~slots:domains in
-  let root = Rng.root seed in
-  match
-    run_chunk_range ~obs ~progress ~tr ~domains ~root ~chunk ~trials
-      ~lo_chunk:0 ~hi_chunk:nchunks ~sup ~engine_label ~worker_init ~trial
-      ~init ~accum
-  with
-  | results ->
-    trace_run_finish tr ~interrupted:false;
-    Obs.Progress.finish progress;
-    Array.fold_left merge init results
-  | exception e ->
-    trace_run_finish tr ~interrupted:true;
-    Obs.Progress.abandon progress;
-    raise e
-
-let map_reduce_ctx ?domains ?chunk ?obs ?chunk_timeout ?retries ?backoff
-    ?chaos ~trials ~seed ~worker_init ~init ~accum ~merge trial =
-  let domains = resolve_domains domains in
-  let chunk = resolve_chunk ~trials chunk in
-  let obs = resolve_obs obs in
-  let timeout, retries, backoff, chaos =
-    resolve_sup_args ?chunk_timeout ?retries ?backoff ?chaos ()
+  let count lo_chunk hi_chunk =
+    run_chunk_range ~obs ~progress ~tr ~domains ~chunk ~trials ~lo_chunk
+      ~hi_chunk ~sup ~engine_label ~worker_init body
   in
-  let sup = plain_sup ~seed ~timeout ~retries ~backoff ~chaos in
-  map_reduce_sup ~domains ~chunk ~obs ~trials ~seed ~sup ~worker_init ~init
-    ~accum ~merge trial
-
-let map_reduce ?domains ?chunk ?obs ?chunk_timeout ?retries ?backoff ?chaos
-    ~trials ~seed ~init ~accum ~merge trial =
-  map_reduce_ctx ?domains ?chunk ?obs ?chunk_timeout ?retries ?backoff ?chaos
-    ~trials ~seed
-    ~worker_init:(fun () -> ())
-    ~init ~accum ~merge
-    (fun () rng i -> trial rng i)
-
-let count_accum acc hit = if hit then acc + 1 else acc
-
-let failures_ctx_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
-    ?backoff ?chaos ~trials ~seed ~worker_init trial =
-  if trials < 0 then invalid_arg "Mc.Runner: trials must be >= 0";
-  let domains = resolve_domains domains in
-  let chunk = resolve_chunk ~trials chunk in
-  let obs = resolve_obs obs in
-  let timeout, retries, backoff, chaos =
-    resolve_sup_args ?chunk_timeout ?retries ?backoff ?chaos ()
-  in
-  let sup =
-    counting_sup ?campaign ~engine:"scalar" ~seed ~trials ~chunk ~timeout
-      ~retries ~backoff ~chaos ()
-  in
-  map_reduce_sup ~domains ~chunk ~obs ~trials ~seed ~sup ~worker_init ~init:0
-    ~accum:count_accum ~merge:( + ) trial
-
-let default_min_trials = 1000
-
-let estimate_ctx_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
-    ?backoff ?chaos ?z ?target_half_width ?(min_trials = default_min_trials)
-    ~trials ~seed ~worker_init trial =
-  if trials < 0 then invalid_arg "Mc.Runner: trials must be >= 0";
-  if min_trials < 1 then invalid_arg "Mc.Runner: min_trials must be >= 1";
-  let domains = resolve_domains domains in
-  let chunk = resolve_chunk ~trials chunk in
-  let obs = resolve_obs obs in
-  let timeout, retries, backoff, chaos =
-    resolve_sup_args ?chunk_timeout ?retries ?backoff ?chaos ()
-  in
-  (* One supervision bundle for every batch of the early-stopping
-     loop: cached per-chunk counts replay identically, so a resumed
-     early-stopped run revisits the same batch boundaries and stops
-     at the same point as the uninterrupted run. *)
-  let sup =
-    counting_sup ?campaign ~engine:"scalar" ~seed ~trials ~chunk ~timeout
-      ~retries ~backoff ~chaos ()
-  in
-  let nchunks = (trials + chunk - 1) / chunk in
-  let progress = Obs.Progress.create ~label:"mc" ~total:nchunks in
-  let tr = trace_run ~engine_label:"scalar" ~seed ~trials ~chunk ~slots:domains in
-  let root = Rng.root seed in
-  let run lo_chunk hi_chunk =
-    run_chunk_range ~obs ~progress ~tr ~domains ~root ~chunk ~trials ~lo_chunk
-      ~hi_chunk ~sup ~engine_label:"scalar" ~worker_init ~trial ~init:0
-      ~accum:count_accum
-    |> Array.fold_left ( + ) 0
-  in
-  let result () =
-    match target_half_width with
-    | None ->
-      Stats.estimate ?z ~failures:(run 0 nchunks) ~trials ()
-    | Some target ->
-      (* Geometric batches at fixed chunk boundaries: the stop decision
-         after each batch depends only on aggregate counts, so early
-         stopping is as domain-count-invariant as the counts are.  The
-         floor [min_trials] is never undercut. *)
-      let floor_trials = min trials (max 1 min_trials) in
-      let chunks_for t = min nchunks ((t + chunk - 1) / chunk) in
-      let trace ~done_chunks ~done_trials (e : Stats.estimate) ~stopped =
-        Obs.event obs "mc.early_stop_batch"
-          [ ("done_chunks", Obs.Json.Int done_chunks);
-            ("done_trials", Obs.Json.Int done_trials);
-            ("failures", Obs.Json.Int e.Stats.failures);
-            ("half_width", Obs.Json.Float (Stats.half_width e));
-            ("target", Obs.Json.Float target);
-            ("stopped", Obs.Json.Bool stopped) ]
-      in
-      let rec go done_chunks failures =
-        let done_trials = min trials (done_chunks * chunk) in
-        let e = Stats.estimate ?z ~failures ~trials:done_trials () in
-        if done_chunks >= nchunks then begin
-          if done_chunks > 0 then trace ~done_chunks ~done_trials e ~stopped:true;
-          e
-        end
-        else if done_trials >= floor_trials && Stats.half_width e <= target
-        then begin
-          trace ~done_chunks ~done_trials e ~stopped:true;
-          e
-        end
-        else begin
-          if done_chunks > 0 then
-            trace ~done_chunks ~done_trials e ~stopped:false;
-          let next_chunks =
-            if done_trials = 0 then chunks_for floor_trials
-            else max (done_chunks + 1) (chunks_for (2 * done_trials))
-          in
-          let next_chunks = min nchunks next_chunks in
-          go next_chunks (failures + run done_chunks next_chunks)
-        end
-      in
-      go 0 0
-  in
-  match result () with
+  match k ~nchunks count with
   | result ->
     trace_run_finish tr ~interrupted:false;
     Obs.Progress.finish progress;
@@ -666,11 +549,100 @@ let estimate_ctx_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
     Obs.Progress.abandon progress;
     raise e
 
-(* Batched mode: one chunk = one tile of [tile_width / 64] 64-shot
-   lanes (default one lane).  The batch function returns one int64 per
-   lane; bit k of lane j is the outcome of shot [base + 64*j + k].
-   The engine masks each lane to its live shots, popcounts, and merges
-   per-chunk counts in chunk order.
+(* ---------------------------------------------------- scalar engine *)
+
+(* Chunk [idx] runs trials [idx·chunk, min trials ((idx+1)·chunk)) on
+   the stream [Rng.split root idx]; a supervised attempt checks the
+   watchdog and the chaos trial hook before each trial. *)
+let scalar_body ~chunk ~trials trial sup root =
+  let stream idx = Rng.to_state (Rng.split root idx) in
+  let last idx = min trials ((idx + 1) * chunk) - 1 in
+  let chaos_on = not (Chaos.is_none sup.chaos) in
+  { fast =
+      (fun ctx idx ->
+        let rng = stream idx and n = ref 0 in
+        for i = idx * chunk to last idx do
+          if trial ctx rng i then incr n
+        done;
+        !n);
+    attempt =
+      (fun ctx idx ~attempt ~deadline ->
+        let rng = stream idx and n = ref 0 in
+        for i = idx * chunk to last idx do
+          check_deadline sup deadline;
+          if chaos_on then
+            sup.chaos.Chaos.on_trial ~chunk:idx ~attempt ~trial:i;
+          if trial ctx rng i then incr n
+        done;
+        !n);
+    warm = (fun ctx idx -> ignore (trial ctx (stream idx) (idx * chunk))) }
+
+let default_min_trials = 1000
+
+let estimate_scalar ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
+    ?backoff ?chaos ?z ?target_half_width ?(min_trials = default_min_trials)
+    ~trials ~seed ~worker_init trial =
+  if min_trials < 1 then invalid_arg "Mc.Runner: min_trials must be >= 1";
+  let chunk = resolve_chunk ~trials chunk in
+  let obs = resolve_obs obs in
+  (* One supervision bundle for every batch of the early-stopping
+     loop: cached per-chunk counts replay identically, so a resumed
+     early-stopped run revisits the same batch boundaries and stops
+     at the same point as the uninterrupted run. *)
+  count_run ?domains ~obs ?campaign ?chunk_timeout ?retries ?backoff ?chaos
+    ~engine:"scalar" ~engine_label:"scalar" ~label:"mc" ~trials ~chunk ~seed
+    ~worker_init (scalar_body ~chunk ~trials trial)
+    (fun ~nchunks count ->
+      match target_half_width with
+      | None -> Stats.estimate ?z ~failures:(count 0 nchunks) ~trials ()
+      | Some target ->
+        (* Geometric batches at fixed chunk boundaries: the stop
+           decision after each batch depends only on aggregate counts,
+           so early stopping is as domain-count-invariant as the
+           counts are.  The floor [min_trials] is never undercut. *)
+        let floor_trials = min trials (max 1 min_trials) in
+        let chunks_for t = min nchunks ((t + chunk - 1) / chunk) in
+        let trace ~done_chunks ~done_trials (e : Stats.estimate) ~stopped =
+          Obs.event obs "mc.early_stop_batch"
+            [ ("done_chunks", Obs.Json.Int done_chunks);
+              ("done_trials", Obs.Json.Int done_trials);
+              ("failures", Obs.Json.Int e.Stats.failures);
+              ("half_width", Obs.Json.Float (Stats.half_width e));
+              ("target", Obs.Json.Float target);
+              ("stopped", Obs.Json.Bool stopped) ]
+        in
+        let rec go done_chunks failures =
+          let done_trials = min trials (done_chunks * chunk) in
+          let e = Stats.estimate ?z ~failures ~trials:done_trials () in
+          if done_chunks >= nchunks then begin
+            if done_chunks > 0 then
+              trace ~done_chunks ~done_trials e ~stopped:true;
+            e
+          end
+          else if done_trials >= floor_trials && Stats.half_width e <= target
+          then begin
+            trace ~done_chunks ~done_trials e ~stopped:true;
+            e
+          end
+          else begin
+            if done_chunks > 0 then
+              trace ~done_chunks ~done_trials e ~stopped:false;
+            let next_chunks =
+              if done_trials = 0 then chunks_for floor_trials
+              else max (done_chunks + 1) (chunks_for (2 * done_trials))
+            in
+            let next_chunks = min nchunks next_chunks in
+            go next_chunks (failures + count done_chunks next_chunks)
+          end
+        in
+        go 0 0)
+
+(* ----------------------------------------------------- batch engine
+
+   One chunk = one tile of [tile_width / 64] 64-shot lanes.  The batch
+   function returns one int64 per lane; bit k of lane j is the outcome
+   of shot [base + 64*j + k].  The body masks each lane to its live
+   shots and popcounts.
 
    Cross-width determinism: lane [j] of tile [c] covers the same 64
    shots as the width-64 chunk [c * lanes + j] and runs on that
@@ -683,12 +655,6 @@ let estimate_ctx_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
    [on_trial] hooks do not apply (a tile has no per-trial boundary). *)
 
 let word_size = 64
-
-let resolve_tile_width = function
-  | None -> word_size
-  | Some w when w >= word_size && w mod word_size = 0 -> w
-  | Some _ ->
-    invalid_arg "Mc.Runner: tile_width must be a positive multiple of 64"
 
 let popcount64 x =
   let open Int64 in
@@ -705,178 +671,36 @@ let live_mask count =
   if count >= word_size then -1L
   else Int64.sub (Int64.shift_left 1L count) 1L
 
-let failures_batched_impl ?domains ?obs ?campaign ?chunk_timeout ?retries
-    ?backoff ?chaos ?tile_width ~trials ~seed ~worker_init batch =
-  if trials < 0 then invalid_arg "Mc.Runner: trials must be >= 0";
-  let domains = resolve_domains domains in
-  let obs = resolve_obs obs in
-  let tile_width = resolve_tile_width tile_width in
+let batch_body ~tile_width ~trials batch sup root =
   let lanes = tile_width / word_size in
-  let timeout, retries, backoff, chaos =
-    resolve_sup_args ?chunk_timeout ?retries ?backoff ?chaos ()
+  let words ctx c =
+    let base = c * tile_width in
+    batch ctx
+      (Array.init lanes (fun j -> Rng.split root ((c * lanes) + j)))
+      ~base ~count:(min tile_width (trials - base))
   in
-  (* Campaign chunks are whole tiles, so width-64 runs keep the exact
-     pre-tile job identity and old checkpoints stay replayable; other
-     widths get their own job key via [chunk]. *)
-  let sup =
-    counting_sup ?campaign ~engine:"batch" ~seed ~trials ~chunk:tile_width
-      ~timeout ~retries ~backoff ~chaos ()
-  in
-  let lane_keys root c =
-    Array.init lanes (fun j -> Rng.split root ((c * lanes) + j))
-  in
-  let count_tile ws ~count =
+  let tile ctx c =
+    let ws = words ctx c in
     if Array.length ws < lanes then
       invalid_arg "Mc.Runner: batch returned fewer words than lanes";
-    let acc = ref 0 in
+    let n = ref 0 in
     for j = 0 to lanes - 1 do
-      let live = count - (j * word_size) in
+      (* lane j's shots from [trials] on are masked off *)
+      let live = trials - (c * tile_width) - (j * word_size) in
       if live > 0 then
-        acc := !acc + popcount64 (Int64.logand ws.(j) (live_mask live))
+        n := !n + popcount64 (Int64.logand ws.(j) (live_mask live))
     done;
-    !acc
+    !n
   in
-  let nchunks = (trials + tile_width - 1) / tile_width in
-  let progress = Obs.Progress.create ~label:"mc-batch" ~total:nchunks in
-  let tr =
-    trace_run ~engine_label:"batch" ~seed ~trials ~chunk:tile_width
-      ~slots:domains
-  in
-  let root = Rng.root seed in
-  let results = Array.make (max nchunks 0) 0 in
-  let done_ = Array.make (max nchunks 0) false in
-  let abort : exn option Atomic.t = Atomic.make None in
-  let resumed = Atomic.make 0 in
-  let retried = Atomic.make 0 in
-  let timeouts = Atomic.make 0 in
-  let instrument = Obs.enabled obs in
-  let tracing = tr <> None in
-  let t_start = if instrument then Obs.now () else 0.0 in
-  let chunk_times =
-    if instrument then Array.make (max nchunks 0) (-1.0) else [||]
-  in
-  let chaos_on = not (Chaos.is_none chaos) in
-  let supervised = timeout > 0.0 || chaos_on in
-  let process w ctx c =
-    match sup.skip c with
-    | Some count ->
-      results.(c) <- count;
-      done_.(c) <- true;
-      Atomic.incr resumed;
-      if tracing then
-        trace_chunk tr ~w ~idx:c ~cid:(trace_chunk_id tr c) ~t0:(Obs.now ())
-          ~cached:true ~ok:true;
-      Obs.Progress.step progress
-    | None ->
-      let base = c * tile_width in
-      let count = min tile_width (trials - base) in
-      let t0 = if instrument || tracing then Obs.now () else 0.0 in
-      let cid = if tracing then trace_chunk_id tr c else "" in
-      let run_tile () =
-        let ws = batch ctx (lane_keys root c) ~base ~count in
-        count_tile ws ~count
-      in
-      let compute () =
-        if not supervised then run_tile ()
-        else
-          supervised_attempts ~sup ~idx:c ~retried ~timeouts
-            (trace_attempts tr ~w ~idx:c ~cid (fun _attempt deadline ->
-                 let r = run_tile () in
-                 if timeout > 0.0 && Obs.now () > deadline then
-                   raise (Chunk_timeout timeout);
-                 r))
-      in
-      (match compute () with
-      | n_failures ->
-        results.(c) <- n_failures;
-        done_.(c) <- true;
-        sup.record c n_failures;
-        if instrument then chunk_times.(c) <- Obs.now () -. t0;
-        if tracing then trace_chunk tr ~w ~idx:c ~cid ~t0 ~cached:false ~ok:true;
-        Obs.Progress.step progress
-      | exception e ->
-        if tracing then
-          trace_chunk tr ~w ~idx:c ~cid ~t0 ~cached:false ~ok:false;
-        raise e)
-  in
-  let should_stop () =
-    Atomic.get abort <> None || Campaign.stop_requested ()
-  in
-  let guarded w ctx c =
-    try process w ctx c
-    with e -> ignore (Atomic.compare_and_set abort None (Some e))
-  in
-  let workers = min domains nchunks in
-  let claims = Array.make (max workers 1) (-1) in
-  let warmup_s = ref 0.0 in
-  if workers <= 1 then begin
-    if nchunks > 0 then begin
-      let ctx = worker_init () in
-      let c = ref 0 in
-      while !c < nchunks && not (should_stop ()) do
-        guarded 0 ctx !c;
-        incr c
-      done;
-      claims.(0) <- !c
-    end
-  end
-  else begin
-    (* Same warmup discipline as the scalar engine: force every lazy
-       the batch touches before domains race on it. *)
-    let warm_ctx = worker_init () in
-    let t_warm = if instrument then Obs.now () else 0.0 in
-    ignore
-      (batch warm_ctx (lane_keys root 0) ~base:0
-         ~count:(min tile_width trials));
-    if instrument then warmup_s := Obs.now () -. t_warm;
-    let cursor = Atomic.make 0 in
-    let work w ctx =
-      let mine = ref 0 in
-      let rec loop () =
-        if not (should_stop ()) then begin
-          let c = Atomic.fetch_and_add cursor 1 in
-          if c < nchunks then begin
-            guarded w ctx c;
-            incr mine;
-            loop ()
-          end
-        end
-      in
-      loop ();
-      claims.(w) <- !mine
-    in
-    let spawned =
-      List.init (workers - 1) (fun w ->
-          Domain.spawn (fun () -> work (w + 1) (worker_init ())))
-    in
-    work 0 warm_ctx;
-    List.iter Domain.join spawned
-  end;
-  let fail e =
-    trace_run_finish tr ~interrupted:true;
-    Obs.Progress.abandon progress;
-    raise e
-  in
-  let completed = ref 0 in
-  Array.iter (fun d -> if d then incr completed) done_;
-  if !completed < nchunks then begin
-    sup.flush ();
-    match Atomic.get abort with
-    | Some e -> fail e
-    | None ->
-      fail
-        (Campaign.Interrupted
-           { completed = !completed; total = nchunks; checkpoint = sup.file })
-  end;
-  (match Atomic.get abort with Some e -> fail e | None -> ());
-  if instrument then
-    record_run obs ~engine:"batch" ~trials ~chunks:(max nchunks 0) ~workers
-      ~wall_s:(Obs.now () -. t_start) ~warmup_s:!warmup_s ~chunk_times ~claims
-      ~resumed:(Atomic.get resumed) ~retried:(Atomic.get retried)
-      ~timeouts:(Atomic.get timeouts);
-  trace_run_finish tr ~interrupted:false;
-  Obs.Progress.finish progress;
-  Array.fold_left ( + ) 0 results
+  { fast = tile;
+    attempt =
+      (fun ctx c ~attempt:_ ~deadline ->
+        let n = tile ctx c in
+        check_deadline sup deadline;
+        n);
+    (* the kernel call alone: a short word array raises in the tile
+       that counts it, inside supervision *)
+    warm = (fun ctx c -> ignore (words ctx c)) }
 
 (* ------------------------------------------------------------ models *)
 
@@ -904,97 +728,6 @@ let scalar trial =
     m_trial = Some (fun () rng i -> trial rng i);
     m_batch = None;
     m_rare = None }
-
-(* ------------------------------------------------- rare-event engine
-
-   Weight-class subset sampling (see Subset): each weight class of the
-   model's fault space runs as its own counting ledger through the
-   standard chunk machinery — enumerated classes evaluate unranked
-   configurations by trial index, sampled classes draw uniform
-   configurations from the chunk's RNG stream.  Class w runs on seed
-   [Rng.derive seed [w]] under campaign engine "rare:w<w>", so classes
-   never collide in a checkpoint store and each inherits the scalar
-   engine's determinism, supervision and resume behavior wholesale. *)
-
-let estimate_rare_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
-    ?backoff ?chaos ?z ~config ~seed ~worker_init ~rare () =
-  let { Engine.max_weight; samples_per_class; enum_cutoff } = config in
-  let fm = rare.fault_model in
-  Subset.validate fm;
-  let plan = Subset.plan fm ~max_weight ~samples_per_class ~enum_cutoff in
-  (* Class-level progress: a long enumerated class advances its own
-     chunk reporter, but the campaign-level view is "classes done" —
-     without it FTQC_PROGRESS sits silent between classes. *)
-  let progress =
-    Obs.Progress.create ~label:"rare classes" ~total:(List.length plan)
-  in
-  let rare_id =
-    Obs.Trace.span_id
-      [ "rare"; Campaign.label (); string_of_int seed;
-        string_of_int max_weight; string_of_int samples_per_class ]
-  in
-  let run_classes () =
-    List.map
-      (fun (cls : Subset.cls) ->
-        let w = cls.weight in
-        let trial =
-          if cls.exhaustive then fun ctx _rng i ->
-            rare.evaluate ctx (Subset.unrank fm ~weight:w ~index:i)
-          else fun ctx rng _i ->
-            rare.evaluate ctx (Subset.sample fm ~weight:w rng)
-        in
-        let trials = cls.evals in
-        let class_seed = Rng.derive seed [ w ] in
-        let domains = resolve_domains domains in
-        let chunk = resolve_chunk ~trials chunk in
-        let obs = resolve_obs obs in
-        let timeout, retries, backoff, chaos =
-          resolve_sup_args ?chunk_timeout ?retries ?backoff ?chaos ()
-        in
-        let sup =
-          counting_sup ?campaign
-            ~engine:(Printf.sprintf "rare:w%d" w)
-            ~seed:class_seed ~trials ~chunk ~timeout ~retries ~backoff ~chaos
-            ()
-        in
-        let failures =
-          (* the class span parents the class's run span (the
-             map_reduce below picks it up as the ambient parent) *)
-          Obs.Trace.timed ~cat:"runner"
-            ~name:(Printf.sprintf "weight class w=%d" w)
-            ~id:(Obs.Trace.span_id [ rare_id; "w" ^ string_of_int w ])
-            ~args:
-              [ ("weight", Obs.Json.Int w);
-                ("evals", Obs.Json.Int trials);
-                ("exhaustive", Obs.Json.Bool cls.exhaustive) ]
-            (fun () ->
-              map_reduce_sup ~engine_label:"rare" ~domains ~chunk ~obs ~trials
-                ~seed:class_seed ~sup ~worker_init ~init:0 ~accum:count_accum
-                ~merge:( + ) trial)
-        in
-        Obs.Progress.step progress;
-        { Stats.weight = w;
-          prob = cls.prob;
-          evals = trials;
-          failures;
-          exhaustive = cls.exhaustive })
-      plan
-  in
-  let traced () =
-    Obs.Trace.timed ~cat:"runner" ~name:"rare estimate" ~id:rare_id
-      ~args:
-        [ ("seed", Obs.Json.Int seed);
-          ("max_weight", Obs.Json.Int max_weight);
-          ("classes", Obs.Json.Int (List.length plan)) ]
-      run_classes
-  in
-  match traced () with
-  | classes ->
-    Obs.Progress.finish progress;
-    Subset.weighted ?z ~model:fm ~max_weight classes
-  | exception e ->
-    Obs.Progress.abandon progress;
-    raise e
 
 let supported_engines m =
   List.filter_map
@@ -1033,27 +766,91 @@ let reject_chunk ~engine = function
       (Printf.sprintf
          "Mc.Runner: ?chunk does not apply to the %s engine" engine)
 
-(* ------------------------------------- unified, engine-polymorphic API *)
+(* ------------------------------------------------- rare-event engine
 
-let failures ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries ?backoff
-    ?chaos ?(engine = `Scalar) ~trials ~seed m =
-  match (engine : Engine.t) with
-  | `Scalar ->
-    failures_ctx_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
-      ?backoff ?chaos ~trials ~seed ~worker_init:m.m_worker_init
-      (require_trial m)
-  | `Batch { Engine.tile_width } ->
-    reject_chunk ~engine:"batch" chunk;
-    failures_batched_impl ?domains ?obs ?campaign ?chunk_timeout ?retries
-      ?backoff ?chaos ~tile_width ~trials ~seed
-      ~worker_init:m.m_worker_init (require_batch m)
-  | `Rare config ->
-    let w =
-      estimate_rare_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout
-        ?retries ?backoff ?chaos ~config ~seed
-        ~worker_init:m.m_worker_init ~rare:(require_rare m) ()
-    in
-    w.Stats.raw_failures
+   Weight-class subset sampling (see Subset): each weight class of the
+   model's fault space runs as its own counting ledger through the
+   chunk loop with the scalar body — enumerated classes evaluate
+   unranked configurations by trial index, sampled classes draw uniform
+   configurations from the chunk's RNG stream.  Class w runs on seed
+   [Rng.derive seed [w]] under campaign engine "rare:w<w>", so classes
+   never collide in a checkpoint store and each inherits the scalar
+   engine's determinism, supervision and resume behavior wholesale. *)
+
+let estimate_rare ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
+    ?backoff ?chaos ?z ?(config = Engine.default_rare) ~seed m =
+  let rare = require_rare m in
+  let { Engine.max_weight; samples_per_class; enum_cutoff } = config in
+  let fm = rare.fault_model in
+  Subset.validate fm;
+  let plan = Subset.plan fm ~max_weight ~samples_per_class ~enum_cutoff in
+  (* Class-level progress: a long enumerated class advances its own
+     chunk reporter, but the campaign-level view is "classes done" —
+     without it FTQC_PROGRESS sits silent between classes. *)
+  let progress =
+    Obs.Progress.create ~label:"rare classes" ~total:(List.length plan)
+  in
+  let rare_id =
+    Obs.Trace.span_id
+      [ "rare"; Campaign.label (); string_of_int seed;
+        string_of_int max_weight; string_of_int samples_per_class ]
+  in
+  let run_classes () =
+    List.map
+      (fun (cls : Subset.cls) ->
+        let w = cls.weight in
+        let trial =
+          if cls.exhaustive then fun ctx _rng i ->
+            rare.evaluate ctx (Subset.unrank fm ~weight:w ~index:i)
+          else fun ctx rng _i ->
+            rare.evaluate ctx (Subset.sample fm ~weight:w rng)
+        in
+        let trials = cls.evals in
+        let chunk = resolve_chunk ~trials chunk in
+        let failures =
+          (* the class span parents the class's run span (the run
+             below picks it up as the ambient parent) *)
+          Obs.Trace.timed ~cat:"runner"
+            ~name:(Printf.sprintf "weight class w=%d" w)
+            ~id:(Obs.Trace.span_id [ rare_id; "w" ^ string_of_int w ])
+            ~args:
+              [ ("weight", Obs.Json.Int w);
+                ("evals", Obs.Json.Int trials);
+                ("exhaustive", Obs.Json.Bool cls.exhaustive) ]
+            (fun () ->
+              count_run ?domains ?obs ?campaign ?chunk_timeout ?retries
+                ?backoff ?chaos
+                ~engine:(Printf.sprintf "rare:w%d" w)
+                ~engine_label:"rare" ~label:"mc" ~trials ~chunk
+                ~seed:(Rng.derive seed [ w ]) ~worker_init:m.m_worker_init
+                (scalar_body ~chunk ~trials trial)
+                (fun ~nchunks count -> count 0 nchunks))
+        in
+        Obs.Progress.step progress;
+        { Stats.weight = w;
+          prob = cls.prob;
+          evals = trials;
+          failures;
+          exhaustive = cls.exhaustive })
+      plan
+  in
+  let traced () =
+    Obs.Trace.timed ~cat:"runner" ~name:"rare estimate" ~id:rare_id
+      ~args:
+        [ ("seed", Obs.Json.Int seed);
+          ("max_weight", Obs.Json.Int max_weight);
+          ("classes", Obs.Json.Int (List.length plan)) ]
+      run_classes
+  in
+  match traced () with
+  | classes ->
+    Obs.Progress.finish progress;
+    Subset.weighted ?z ~model:fm ~max_weight classes
+  | exception e ->
+    Obs.Progress.abandon progress;
+    raise e
+
+(* ------------------------------------- unified, engine-polymorphic API *)
 
 let estimate ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries ?backoff
     ?chaos ?(engine = `Scalar) ?z ?target_half_width ?min_trials ~trials
@@ -1070,27 +867,36 @@ let estimate ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries ?backoff
   in
   match (engine : Engine.t) with
   | `Scalar ->
-    estimate_ctx_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
+    estimate_scalar ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
       ?backoff ?chaos ?z ?target_half_width ?min_trials ~trials ~seed
       ~worker_init:m.m_worker_init (require_trial m)
   | `Batch { Engine.tile_width } ->
     reject_target "batch";
     reject_chunk ~engine:"batch" chunk;
+    let batch = require_batch m in
+    if tile_width < word_size || tile_width mod word_size <> 0 then
+      invalid_arg "Mc.Runner: tile_width must be a positive multiple of 64";
+    (* Campaign chunks are whole tiles, so width-64 runs keep the exact
+       pre-tile job identity and old checkpoints stay replayable; other
+       widths get their own job key via [chunk]. *)
     let failures =
-      failures_batched_impl ?domains ?obs ?campaign ?chunk_timeout ?retries
-        ?backoff ?chaos ~tile_width ~trials ~seed
-        ~worker_init:m.m_worker_init (require_batch m)
+      count_run ?domains ?obs ?campaign ?chunk_timeout ?retries ?backoff
+        ?chaos ~engine:"batch" ~engine_label:"batch" ~label:"mc-batch"
+        ~trials ~chunk:tile_width ~seed ~worker_init:m.m_worker_init
+        (batch_body ~tile_width ~trials batch)
+        (fun ~nchunks count -> count 0 nchunks)
     in
     Stats.estimate ?z ~failures ~trials ()
   | `Rare config ->
     reject_target "rare";
     Stats.weighted_to_estimate
-      (estimate_rare_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout
-         ?retries ?backoff ?chaos ?z ~config ~seed
-         ~worker_init:m.m_worker_init ~rare:(require_rare m) ())
+      (estimate_rare ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
+         ?backoff ?chaos ?z ~config ~seed m)
 
-let estimate_rare ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
-    ?backoff ?chaos ?z ?(config = Engine.default_rare) ~seed m =
-  estimate_rare_impl ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries
-    ?backoff ?chaos ?z ~config ~seed ~worker_init:m.m_worker_init
-    ~rare:(require_rare m) ()
+(* Every engine's count is its estimate's: under [`Rare] that is the
+   raw failing-evaluation total ([Stats.weighted_to_estimate]). *)
+let failures ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries ?backoff
+    ?chaos ?engine ~trials ~seed m =
+  (estimate ?domains ?chunk ?obs ?campaign ?chunk_timeout ?retries ?backoff
+     ?chaos ?engine ~trials ~seed m)
+    .Stats.failures

@@ -1,4 +1,4 @@
-(** Parallel Monte-Carlo map-reduce over OCaml 5 domains, behind one
+(** Parallel Monte-Carlo chunk loop over OCaml 5 domains, behind one
     engine-polymorphic API.
 
     A driver describes {e what} to run once, as a {!model} — a scalar
@@ -18,12 +18,18 @@
     [Invalid_argument] naming the missing capability and the engines
     the model does support.
 
+    All three engines run through one chunk loop, which owns
+    scheduling, checkpoint replay, supervision, warm-up and telemetry.
+    An engine only supplies the chunk body that counts one chunk's
+    failures: a scalar chunk is a run of trials, a batch chunk is one
+    tile, and a rare weight class is a scalar run of its own.
+
     {2 Determinism}
 
     The trial range is cut into fixed-size chunks whose size depends
     only on the trial count; each chunk runs on its own {!Rng} stream
-    ([Rng.split root chunk_index]) and results are merged in chunk
-    order.  Consequently the aggregate is **bit-identical for any
+    ([Rng.split root chunk_index]) and its count lands in its own
+    slot.  Consequently the aggregate is **bit-identical for any
     domain count** — [~domains:1] (fully sequential, no spawning) is
     the reference semantics and [~domains:n] is just faster.  Workers
     claim chunks from a shared atomic cursor, so load balancing is
@@ -44,23 +50,29 @@
     [domains] defaults to the [FTQC_DOMAINS] environment variable if
     set, else [Domain.recommended_domain_count ()].
 
-    Warmup: when more than one worker will run, the engine first runs
-    one discarded trial (or tile) sequentially, so that any [lazy]
-    the trial forces (code tables, decoders) is already forced before
-    domains race on it — concurrent [Lazy.force] is unsafe in OCaml 5.
+    Warmup: when more than one worker will run, the loop first makes
+    one discarded trial (or one tile's kernel call) sequentially, so
+    that any [lazy] the trial forces (code tables, decoders) is already
+    forced before domains race on it — concurrent [Lazy.force] is
+    unsafe in OCaml 5.
+    It runs on the first chunk of the range that the checkpoint does
+    not hold (for a shard whose other chunks are prefilled, the
+    shard's first chunk), with that chunk's own stream and first trial
+    index; a range the checkpoint holds entirely (a full replay) skips
+    it and computes nothing.
     Trial, batch and rare-evaluate functions therefore must tolerate
     an extra invocation; pure trials trivially do.
 
     {2 Supervision and checkpointing}
 
-    Every entry point takes watchdog/retry/chaos controls, and the
-    counting entry points ({!failures}, {!estimate}, {!estimate_rare})
-    additionally take [?campaign:Campaign.t] (default: the ambient
-    {!Campaign.current} store, if set):
+    Every entry point takes watchdog/retry/chaos controls and
+    [?campaign:Campaign.t] (default: the ambient {!Campaign.current}
+    store, if set):
 
     - [?chunk_timeout] (seconds, default 0 = off) arms a cooperative
-      per-chunk watchdog: the deadline is checked between trials, so a
-      chunk stalled past the timeout is abandoned and retried.
+      per-chunk watchdog: the deadline is checked between trials (after
+      the kernel call, for a batch tile), so a chunk stalled past the
+      timeout is abandoned and retried.
     - [?retries] (default 2) bounds retry attempts per chunk with
       exponential backoff starting at [?backoff] (default 0.1 s,
       doubling per attempt).  A retry re-derives the chunk's RNG
@@ -175,53 +187,6 @@ val model :
     [model ~worker_init:(fun () -> ()) ~trial:(fun () -> trial) ()]. *)
 val scalar : (Random.State.t -> int -> bool) -> unit model
 
-(** {1 Generic map-reduce} *)
-
-(** [map_reduce ?domains ?chunk ?obs ?chunk_timeout ?retries ?backoff
-    ?chaos ~trials ~seed ~init ~accum ~merge trial] — run
-    [trial rng i] for i = 0..trials−1, folding each chunk with
-    [accum] from [init] and the per-chunk results, in chunk order,
-    with [merge].  [merge] must be associative with [init] as
-    identity; determinism then holds even for order-sensitive
-    payloads such as floats.  The per-trial function must be
-    self-contained: domains share nothing mutable.  Supervision
-    (watchdog/retry/stop) applies, but generic accumulators are not
-    checkpointed — only the counting entry points persist. *)
-val map_reduce :
-  ?domains:int ->
-  ?chunk:int ->
-  ?obs:Obs.t ->
-  ?chunk_timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?chaos:Chaos.t ->
-  trials:int ->
-  seed:int ->
-  init:'acc ->
-  accum:('acc -> 'a -> 'acc) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  (Random.State.t -> int -> 'a) ->
-  'acc
-
-(** [map_reduce_ctx] — like {!map_reduce} with a per-worker context
-    ([worker_init] runs once in each worker domain). *)
-val map_reduce_ctx :
-  ?domains:int ->
-  ?chunk:int ->
-  ?obs:Obs.t ->
-  ?chunk_timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?chaos:Chaos.t ->
-  trials:int ->
-  seed:int ->
-  worker_init:(unit -> 'ctx) ->
-  init:'acc ->
-  accum:('acc -> 'a -> 'acc) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  ('ctx -> Random.State.t -> int -> 'a) ->
-  'acc
-
 (** {1 Counting}
 
     [?engine] defaults to [`Scalar].  [?chunk] applies to the scalar
@@ -229,10 +194,11 @@ val map_reduce_ctx :
     Checkpointed through [?campaign] (default: the ambient
     {!Campaign.current} store). *)
 
-(** [failures ?engine ~trials ~seed model] — count [true] outcomes.
-    Under [`Rare] the count is the {e raw} number of failing
-    evaluated configurations across all weight classes (useful for
-    identity checks; the statistically meaningful quantity is
+(** [failures ?engine ~trials ~seed model] — count [true] outcomes:
+    the [failures] field of {!estimate} on the same arguments.  Under
+    [`Rare] that is the {e raw} number of failing evaluated
+    configurations across all weight classes (useful for identity
+    checks; the statistically meaningful quantity is
     {!estimate_rare}), and [trials] is ignored in favor of the
     config's per-class budgets. *)
 val failures :

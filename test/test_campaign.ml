@@ -403,7 +403,8 @@ let test_tile_width_invariant () =
   check_int "tile width 256 across 4 domains" expected n
 
 (* completing a checkpointed run and replaying it entirely from cache
-   must also agree (no trial executes the second time) *)
+   must also agree (no trial executes the second time — not even the
+   warm-up trial a multi-domain run makes before it spawns) *)
 let test_full_replay () =
   let expected = Lazy.force reference in
   with_fresh_campaign ~flush_every:1 (fun _ c ->
@@ -412,15 +413,23 @@ let test_full_replay () =
           (Mc.Runner.scalar trial)
       in
       check_int "checkpointed run = reference" expected first;
-      let executed = ref 0 in
-      let replay =
-        Mc.Runner.failures ~domains:1 ~chunk:mc_chunk ~campaign:c ~trials ~seed
-          (Mc.Runner.scalar (fun rng i ->
-               incr executed;
-               trial rng i))
-      in
-      check_int "full replay = reference" expected replay;
-      check_int "replay executes no trials" 0 !executed)
+      List.iter
+        (fun domains ->
+          let executed = Atomic.make 0 in
+          let replay =
+            Mc.Runner.failures ~domains ~chunk:mc_chunk ~campaign:c ~trials
+              ~seed
+              (Mc.Runner.scalar (fun rng i ->
+                   Atomic.incr executed;
+                   trial rng i))
+          in
+          check_int
+            (Printf.sprintf "full replay = reference (domains %d)" domains)
+            expected replay;
+          check_int
+            (Printf.sprintf "replay executes no trials (domains %d)" domains)
+            0 (Atomic.get executed))
+        [ 1; 2 ])
 
 (* --- SIGKILL mid-write: the file on disk always parses --------------- *)
 
@@ -515,7 +524,30 @@ let test_chaos_stall_times_out_and_retries () =
       (Mc.Runner.scalar trial)
   in
   check_int "count survives a stalled chunk" (Lazy.force reference) n;
-  check "timeout counted" true (Obs.counter obs "mc.chunk_timeouts" >= 1)
+  check "timeout counted" true (Obs.counter obs "mc.chunk_timeouts" >= 1);
+  (* a tile has no trial boundary: the watchdog reads the clock after
+     the kernel returns, so the stalled attempt still runs its tile *)
+  let obs = Obs.create () in
+  let tile1_calls = Atomic.make 0 in
+  let counted =
+    Mc.Runner.model
+      ~worker_init:(fun () -> ())
+      ~batch:(fun ctx keys ~base ~count ->
+        if base = 64 then Atomic.incr tile1_calls;
+        batch ctx keys ~base ~count)
+      ()
+  in
+  let n =
+    Mc.Runner.failures ~domains:2 ~engine:(Mc.Engine.batch ()) ~obs
+      ~trials:batch_trials ~seed ~chunk_timeout:0.05 ~backoff:0.0
+      ~chaos:(Mc.Chaos.stall_chunk ~chunk:1 ~seconds:0.2 ())
+      counted
+  in
+  check_int "batch count survives a stalled tile"
+    (Lazy.force batch_reference) n;
+  check "batch timeout counted" true (Obs.counter obs "mc.chunk_timeouts" >= 1);
+  check_int "the timed-out attempt ran its tile, then the retry" 2
+    (Atomic.get tile1_calls)
 
 let test_chaos_permanent_failure_is_clean () =
   with_fresh_campaign ~flush_every:1 (fun path c ->
@@ -539,6 +571,31 @@ let test_chaos_permanent_failure_is_clean () =
         in
         check "progress survived the failure" true
           (Mc.Campaign.completed c' ~job > 0)
+      | Error m -> Alcotest.fail m);
+  (* the batch engine: the failing tile is named, and the sequential
+     run flushed exactly the two tiles before it *)
+  with_fresh_campaign ~flush_every:1 (fun path c ->
+      (match
+         Mc.Runner.failures ~domains:1 ~engine:(Mc.Engine.batch ())
+           ~campaign:c ~trials:batch_trials ~seed ~retries:1 ~backoff:0.0
+           ~chaos:(Mc.Chaos.kill_chunk ~once:false ~chunk:2 ())
+           batch_model
+       with
+      | _ -> Alcotest.fail "permanently failing tile must raise"
+      | exception Mc.Runner.Chunk_failed { chunk; attempts; _ } ->
+        check_int "failing tile identified" 2 chunk;
+        check_int "both tile attempts used" 2 attempts);
+      match Mc.Campaign.load path with
+      | Ok c' ->
+        let job =
+          { Mc.Campaign.label = ""; engine = "batch"; seed;
+            trials = batch_trials; chunk = 64 }
+        in
+        check_int "tiles before the failure flushed" 2
+          (Mc.Campaign.completed c' ~job);
+        check "tiles 0 and 1 held" true
+          (Mc.Campaign.find c' ~job ~chunk:0 <> None
+          && Mc.Campaign.find c' ~job ~chunk:1 <> None)
       | Error m -> Alcotest.fail m)
 
 let test_chaos_batch_kill_retried () =

@@ -1,5 +1,5 @@
 (* The shared Monte-Carlo engine: Mc.Rng splittable streams,
-   Mc.Runner domain-parallel map-reduce, Mc.Stats Wilson intervals.
+   Mc.Runner's domain-parallel chunk loop, Mc.Stats Wilson intervals.
    The load-bearing property throughout is the determinism contract:
    the same root seed gives bit-identical aggregates for ANY domain
    count, so every parallel result below is checked against the
@@ -82,16 +82,6 @@ let test_runner_steane_scan_invariant () =
   in
   Alcotest.(check int) "steane EC: domains:4 = domains:1" (run 1) (run 4)
 
-let test_runner_float_merge_deterministic () =
-  (* chunk-ordered merge makes even float sums bit-identical *)
-  let sum d =
-    Mc.Runner.map_reduce ~domains:d ~trials:5000 ~seed:11 ~init:0.0
-      ~accum:( +. ) ~merge:( +. )
-      (fun rng _ -> Random.State.float rng 1.0)
-  in
-  check "float sum bit-identical across domain counts" true
-    (sum 1 = sum 3 && sum 3 = sum 5)
-
 let test_runner_worker_ctx () =
   (* per-worker scratch buffers reused across a worker's chunks *)
   let count d =
@@ -113,7 +103,36 @@ let test_runner_zero_and_tiny () =
   Alcotest.(check int) "one trial, always true"
     1
     (Mc.Runner.failures ~domains:4 ~trials:1 ~seed:1
-       (Mc.Runner.scalar (fun _ _ -> true)))
+       (Mc.Runner.scalar (fun _ _ -> true)));
+  (* a kernel returning fewer words than lanes is rejected by the tile
+     that counts them, at any domain count; under supervision that
+     rejection is the tile's failure *)
+  let short =
+    Mc.Runner.model
+      ~worker_init:(fun () -> ())
+      ~batch:(fun () _ ~base:_ ~count:_ -> [| 0L |])
+      ()
+  in
+  let run ?chunk_timeout domains =
+    Mc.Runner.failures ~domains ?chunk_timeout ~retries:0
+      ~engine:(Mc.Engine.batch ~tile_width:128 ()) ~trials:256 ~seed:1 short
+  in
+  List.iter
+    (fun domains ->
+      check
+        (Printf.sprintf "short kernel: Invalid_argument (domains %d)" domains)
+        true
+        (match run domains with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      check
+        (Printf.sprintf "short kernel, supervised: Chunk_failed (domains %d)"
+           domains)
+        true
+        (match run ~chunk_timeout:60.0 domains with
+        | _ -> false
+        | exception Mc.Runner.Chunk_failed _ -> true))
+    [ 1; 2 ]
 
 let prop_domain_invariance =
   QCheck.Test.make ~name:"failures invariant in domain count" ~count:25
@@ -280,8 +299,6 @@ let suites =
           test_runner_parallel_equals_sequential;
         Alcotest.test_case "steane scan invariant" `Slow
           test_runner_steane_scan_invariant;
-        Alcotest.test_case "float merge deterministic" `Quick
-          test_runner_float_merge_deterministic;
         Alcotest.test_case "worker contexts" `Quick test_runner_worker_ctx;
         Alcotest.test_case "edge cases" `Quick test_runner_zero_and_tiny;
         QCheck_alcotest.to_alcotest prop_domain_invariance ] );

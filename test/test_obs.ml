@@ -170,6 +170,24 @@ let test_obs_live_records () =
 
 let bernoulli p rng _ = Random.State.float rng 1.0 < p
 
+(* A batch kernel whose lane j draws only from its own key (a shot
+   fails with probability 1/5), so counts are tile-width- and
+   domain-invariant like a Frame.Sampler tile's. *)
+let batch_model =
+  Mc.Runner.model
+    ~worker_init:(fun () -> ())
+    ~batch:(fun () keys ~base ~count:_ ->
+      Array.mapi
+        (fun j key ->
+          let w = ref 0L in
+          for k = 0 to 63 do
+            if Int64.rem (Mc.Rng.draw key (base + (64 * j) + k)) 5L = 0L then
+              w := Int64.logor !w (Int64.shift_left 1L k)
+          done;
+          !w)
+        keys)
+    ()
+
 let test_obs_does_not_perturb_counts () =
   (* the whole point of the no-op default: identical failure counts
      with telemetry off, on, and on-across-domains *)
@@ -210,6 +228,34 @@ let test_obs_runner_populates_metrics () =
     | Obs.Json.List evs ->
       List.exists
         (fun e -> Obs.Json.member "event" e = Some (Obs.Json.String "mc.run"))
+        evs
+    | _ -> false);
+  (* the batch engine: one chunk per tile, every tile timed, a warm-up
+     tile before the second domain starts *)
+  let o = Obs.create () in
+  let tile_width = 256 in
+  let tiles = (trials + tile_width - 1) / tile_width in
+  ignore
+    (Mc.Runner.failures ~domains:2 ~obs:o
+       ~engine:(Mc.Engine.batch ~tile_width ())
+       ~trials ~seed:5 batch_model);
+  Alcotest.(check int) "batch: one run recorded" 1 (Obs.counter o "mc.runs");
+  Alcotest.(check int) "batch: all trials recorded" trials
+    (Obs.counter o "mc.trials");
+  Alcotest.(check int) "batch: one chunk per tile" tiles
+    (Obs.counter o "mc.chunks");
+  check "batch: one wall-time sample per tile" true
+    (match Obs.summary o "mc.chunk_wall_s" with
+    | Some (n, _, _, _) -> n = tiles
+    | None -> false);
+  check "batch: warm-up timed" true (Obs.summary o "mc.warmup_s" <> None);
+  check "batch: mc.run event names the batch engine" true
+    (match Obs.events_json o with
+    | Obs.Json.List evs ->
+      List.exists
+        (fun e ->
+          Obs.Json.member "event" e = Some (Obs.Json.String "mc.run")
+          && Obs.Json.member "engine" e = Some (Obs.Json.String "batch"))
         evs
     | _ -> false)
 
@@ -658,28 +704,36 @@ let sorted_identities sk =
   |> List.sort compare
 
 let test_trace_runner_neutral_and_domain_invariant () =
-  let workload domains =
-    Mc.Runner.failures ~domains ~trials:4000 ~seed:8
-      (Mc.Runner.scalar (bernoulli 0.3))
+  let engine_case name workload =
+    let plain = workload 1 in
+    Alcotest.(check int) (name ^ ": untraced, 4 domains") plain (workload 4);
+    let run domains =
+      with_sink (fun sk ->
+          let n = workload domains in
+          (n, sorted_identities sk, Obs.Trace.to_json sk))
+    in
+    let n1, ids1, doc1 = run 1 in
+    let n4, ids4, _ = run 4 in
+    Alcotest.(check int)
+      (name ^ ": tracing does not perturb counts (1 domain)") plain n1;
+    Alcotest.(check int)
+      (name ^ ": tracing does not perturb counts (4 domains)") plain n4;
+    check (name ^ ": span tree bit-identical across domain counts") true
+      (ids1 = ids4);
+    check (name ^ ": run span present") true
+      (List.exists (fun (_, p, _) -> p = "") ids1);
+    check (name ^ ": chunk spans present") true
+      (List.exists (fun (_, _, n) -> n = "chunk 0") ids1);
+    match Obs.Trace.validate doc1 with
+    | Ok n -> check (name ^ ": exported document validates") true (n > 0)
+    | Error e -> Alcotest.failf "%s: trace invalid: %s" name e
   in
-  let plain = workload 1 in
-  let run domains =
-    with_sink (fun sk ->
-        let n = workload domains in
-        (n, sorted_identities sk, Obs.Trace.to_json sk))
-  in
-  let n1, ids1, doc1 = run 1 in
-  let n4, ids4, _ = run 4 in
-  Alcotest.(check int) "tracing does not perturb counts (1 domain)" plain n1;
-  Alcotest.(check int) "tracing does not perturb counts (4 domains)" plain n4;
-  check "span tree bit-identical across domain counts" true (ids1 = ids4);
-  check "run span present" true
-    (List.exists (fun (_, p, _) -> p = "") ids1);
-  check "chunk spans present" true
-    (List.exists (fun (_, _, n) -> n = "chunk 0") ids1);
-  match Obs.Trace.validate doc1 with
-  | Ok n -> check "exported document validates" true (n > 0)
-  | Error e -> Alcotest.failf "trace invalid: %s" e
+  engine_case "scalar" (fun domains ->
+      Mc.Runner.failures ~domains ~trials:4000 ~seed:8
+        (Mc.Runner.scalar (bernoulli 0.3)));
+  engine_case "batch w256" (fun domains ->
+      Mc.Runner.failures ~domains ~engine:(Mc.Engine.batch ~tile_width:256 ())
+        ~trials:4000 ~seed:8 batch_model)
 
 let test_trace_rare_engine_spans () =
   let model =
